@@ -6,7 +6,7 @@
      run <app>                    — execute a schedule and validate vs reference
      bench                        — benchmark apps x schedulers x workers to JSON
      trace <app>                  — run with tracing on and summarize the trace
-     emit-c <app>                 — generate C++/OpenMP for a schedule
+     emit-c <app>                 — print the C/OpenMP kernels of a schedule
      cachesim <app>               — simulated L1/L2 hit/miss fractions
      check [app]                  — static legality/bounds/race/lint verification
      serve                        — sharded pipeline-execution service (Unix or TCP socket)
@@ -421,15 +421,20 @@ let trace_cmd =
           $ out_t $ top_t)
 
 let emit_c_cmd =
-  let doc = "Emit C++/OpenMP for a schedule (stdout, or -o FILE)." in
+  let doc =
+    "Emit the C/OpenMP kernels for a schedule (stdout, or -o FILE): the translation unit \
+     $(b,run --native) compiles."
+  in
   let run app scale machine scheduler output =
     let pipeline = build app scale in
     let sched = make_schedule scheduler machine pipeline in
-    let code = Pmdp_codegen.C_emit.emit sched in
+    let code = Pmdp_codegen.C_emit.emit_kernels pipeline (Pmdp_plan.of_spec sched) in
     match output with
     | None -> print_string code
     | Some path ->
-        Pmdp_codegen.C_emit.emit_to_file sched path;
+        let oc = open_out path in
+        output_string oc code;
+        close_out oc;
         Printf.printf "wrote %s (%d bytes)\n" path (String.length code)
   in
   let out_t = Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Output file.") in
@@ -649,11 +654,6 @@ let storage_cmd =
   Cmd.v (Cmd.info "storage" ~doc)
     Term.(const run $ app_t $ scale_t $ machine_t $ scheduler_t)
 
-let socket_t =
-  Arg.(value & opt string "pmdp.sock"
-       & info [ "socket" ] ~docv:"PATH"
-           ~doc:"Unix-domain socket path (alias for --endpoint unix://PATH).")
-
 let endpoint_conv =
   let parse s =
     match Pmdp_service.Transport.of_string s with Ok e -> Ok e | Error m -> Error (`Msg m)
@@ -662,13 +662,9 @@ let endpoint_conv =
   Arg.conv (parse, print)
 
 let endpoint_t =
-  Arg.(value & opt (some endpoint_conv) None
+  Arg.(value & opt endpoint_conv (Pmdp_service.Transport.Uds "pmdp.sock")
        & info [ "endpoint" ] ~docv:"ENDPOINT"
-           ~doc:"Service endpoint, $(i,unix://PATH) or $(i,tcp://HOST:PORT); takes precedence \
-                 over --socket.")
-
-let resolve_endpoint endpoint socket =
-  match endpoint with Some e -> e | None -> Pmdp_service.Transport.Uds socket
+           ~doc:"Service endpoint, $(i,unix://PATH) or $(i,tcp://HOST:PORT).")
 
 let serve_cmd =
   let doc =
@@ -680,7 +676,7 @@ let serve_cmd =
      --drain-timeout)."
   in
   let run machine workers mem_budget max_inflight batch_window validate shards queue_limit
-      cache_dir breaker_threshold breaker_cooldown drain_timeout socket endpoint native
+      cache_dir breaker_threshold breaker_cooldown drain_timeout endpoint native
       kernel_cache_dir native_march calib_file retune trace =
     trace_begin trace;
     let calib = Option.map (load_calib machine) calib_file in
@@ -692,9 +688,7 @@ let serve_cmd =
         ~shards ~queue_limit ?cache_dir ~breaker_threshold ~breaker_cooldown ~native
         ?kernel_cache_dir ~native_march ?calib ?retune ~machine ()
     in
-    let server =
-      Pmdp_service.Server.start ~service ~endpoint:(resolve_endpoint endpoint socket) ()
-    in
+    let server = Pmdp_service.Server.start ~service ~endpoint () in
     Printf.printf
       "pmdp serve: listening on %s (%d shards x %d workers, machine %s, budget %d bytes%s)\n%!"
       (Pmdp_service.Transport.to_string (Pmdp_service.Server.endpoint server))
@@ -851,7 +845,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run $ machine_t $ workers_t $ mem_budget_t $ max_inflight_t $ batch_window_t
           $ validate_t $ shards_t $ queue_limit_t $ cache_dir_t $ breaker_threshold_t
-          $ breaker_cooldown_t $ drain_timeout_t $ socket_t $ endpoint_t $ native_t
+          $ breaker_cooldown_t $ drain_timeout_t $ endpoint_t $ native_t
           $ kernel_cache_dir_t $ native_march_t $ calib_file_t $ retune_t $ trace_t)
 
 let load_cmd =
@@ -860,7 +854,7 @@ let load_cmd =
      against an in-process service with --inproc — and write a latency/throughput report \
      (p50/p95/p99) as JSON."
   in
-  let run machine socket endpoint inproc clients requests rate apps scale scheduler seeds
+  let run machine endpoint inproc clients requests rate apps scale scheduler seeds
       retries backoff workers output quiet =
     let apps =
       match apps with
@@ -881,7 +875,7 @@ let load_cmd =
         Pmdp_service.Service.shutdown service;
         r
       end
-      else Pmdp_service.Load.run_remote ~endpoint:(resolve_endpoint endpoint socket) cfg
+      else Pmdp_service.Load.run_remote ~endpoint cfg
     in
     let path = match output with Some p -> p | None -> Pmdp_service.Load.default_path machine in
     let write_result = Pmdp_service.Load.write_json ~path report in
@@ -957,7 +951,7 @@ let load_cmd =
   in
   let quiet_t = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Only the report path.") in
   Cmd.v (Cmd.info "load" ~doc)
-    Term.(const run $ machine_t $ socket_t $ endpoint_t $ inproc_t $ clients_t $ requests_t
+    Term.(const run $ machine_t $ endpoint_t $ inproc_t $ clients_t $ requests_t
           $ rate_t $ apps_t $ scale_t $ scheduler_t $ seeds_t $ retries_t $ backoff_t
           $ workers_t $ out_t $ quiet_t)
 

@@ -3,17 +3,8 @@ module Stage = Pmdp_dsl.Stage
 module Expr = Pmdp_dsl.Expr
 module Rational = Pmdp_util.Rational
 module Group_analysis = Pmdp_analysis.Group_analysis
-module Footprint = Pmdp_analysis.Footprint
-module Schedule_spec = Pmdp_core.Schedule_spec
 
 let spf = Printf.sprintf
-
-(* A valid C float literal: "%.9g" may omit the decimal point ("4"),
-   which would make the trailing 'f' a user-defined-literal suffix. *)
-let float_lit f =
-  let s = spf "%.9g" f in
-  if String.exists (fun c -> c = '.' || c = 'e' || c = 'n' || c = 'i') s then s ^ "f"
-  else s ^ ".0f"
 
 (* C identifier for a buffer. *)
 let buf name = "buf_" ^ name
@@ -25,29 +16,26 @@ let double_lit f = spf "%.17g" f
 
 type ctx = {
   p : Pipeline.t;
-  ga : Group_analysis.t;
-  member : int;  (* current consumer member index *)
-  in_group : string -> int option;  (* member index of an in-group stage *)
-  f64 : bool;
-      (* double-precision kernel mode: every float32 spelling (literal
-         suffix, cast, libm call) switches to its double form, and
-         Floor/Mod mirror the interpreter's int round-trip exactly so
-         the compiled kernel can be bitwise-compared against
-         [Pmdp_exec.Reference] *)
+  in_group : string -> bool;  (* is the named stage a member of this group? *)
 }
-
-let lit ctx f = if ctx.f64 then double_lit f else float_lit f
-let cast ctx = if ctx.f64 then "(double)" else "(float)"
-let libm ctx name = if ctx.f64 then name else name ^ "f"
 
 (* Bounds of a stage's own domain, as C constants. *)
 let dim_bounds (d : Stage.dim) = (d.Stage.lo, d.Stage.lo + d.Stage.extent - 1)
 
-let dims_size (dims : Stage.dim array) =
-  Array.fold_left (fun acc d -> acc * d.Stage.extent) 1 dims
+(* Row-major strides of a full buffer over these dims. *)
+let strides (dims : Stage.dim array) =
+  let n = Array.length dims in
+  let stride = Array.make n 1 in
+  for d = n - 2 downto 0 do
+    stride.(d) <- stride.(d + 1) * dims.(d + 1).Stage.extent
+  done;
+  stride
 
 let var_name i = spf "v%d" i
 
+(* Arithmetic mirrors the interpreter ([Pmdp_exec.Compile]) operation
+   for operation, so a kernel compiled with -ffp-contract=off is
+   bitwise-comparable against [Pmdp_exec.Reference]. *)
 let rec coord_to_c ctx (c : Expr.coord) =
   match c with
   | Expr.Cvar { var; scale; offset } ->
@@ -61,55 +49,52 @@ let rec coord_to_c ctx (c : Expr.coord) =
         let r = scale.Rational.den * offset.Rational.den in
         spf "FDIV(%d * %s + %d, %d)" p (var_name var) q r
       end
-  | Expr.Cdyn e -> spf "(int) %s(%s)" (libm ctx "floor") (expr_to_c ctx e)
+  | Expr.Cdyn e -> spf "(int) floor(%s)" (expr_to_c ctx e)
 
 (* A load: clamp each coordinate into the producer's box, then index.
    In-group non-live-out producers use the tile-local scratch buffer
    and region-relative strides; everything else uses the full buffer. *)
 and load_to_c ctx name coords =
   let coord_strs = Array.map (coord_to_c ctx) coords in
-  match ctx.in_group name with
-  | Some _ ->
-      (* In-group producers are always read from the tile-local
-         scratch region (live-outs compute into scratch too and copy
-         their exact tile part out afterwards — direct full-buffer
-         reads would race with neighboring tiles at region edges). *)
-      let parts =
-        Array.mapi
-          (fun d cs ->
-            spf "(CLAMPI(%s, %s_lo%d, %s_hi%d) - %s_lo%d) * %s_st%d" cs (scratch name) d
-              (scratch name) d (scratch name) d (scratch name) d)
-          coord_strs
-      in
-      spf "%s[%s]" (scratch name) (String.concat " + " (Array.to_list parts))
-  | None ->
-      let dims =
-        match
-          Array.find_opt
-            (fun (i : Pipeline.input) -> i.Pipeline.in_name = name)
-            ctx.p.Pipeline.inputs
-        with
-        | Some i -> i.Pipeline.in_dims
-        | None -> (Pipeline.stage ctx.p (Pipeline.stage_id ctx.p name)).Stage.dims
-      in
-      let n = Array.length dims in
-      let stride = Array.make n 1 in
-      for d = n - 2 downto 0 do
-        stride.(d) <- stride.(d + 1) * dims.(d + 1).Stage.extent
-      done;
-      let parts =
-        Array.mapi
-          (fun d cs ->
-            let lo, hi = dim_bounds dims.(d) in
-            spf "(CLAMPI(%s, %d, %d) - %d) * %d" cs lo hi lo stride.(d))
-          coord_strs
-      in
-      spf "%s[%s]" (buf name) (String.concat " + " (Array.to_list parts))
+  if ctx.in_group name then begin
+    (* In-group producers are always read from the tile-local scratch
+       region (live-outs compute into scratch too and copy their exact
+       tile part out afterwards — direct full-buffer reads would race
+       with neighboring tiles at region edges). *)
+    let parts =
+      Array.mapi
+        (fun d cs ->
+          spf "(CLAMPI(%s, %s_lo%d, %s_hi%d) - %s_lo%d) * %s_st%d" cs (scratch name) d
+            (scratch name) d (scratch name) d (scratch name) d)
+        coord_strs
+    in
+    spf "%s[%s]" (scratch name) (String.concat " + " (Array.to_list parts))
+  end
+  else begin
+    let dims =
+      match
+        Array.find_opt
+          (fun (i : Pipeline.input) -> i.Pipeline.in_name = name)
+          ctx.p.Pipeline.inputs
+      with
+      | Some i -> i.Pipeline.in_dims
+      | None -> (Pipeline.stage ctx.p (Pipeline.stage_id ctx.p name)).Stage.dims
+    in
+    let stride = strides dims in
+    let parts =
+      Array.mapi
+        (fun d cs ->
+          let lo, hi = dim_bounds dims.(d) in
+          spf "(CLAMPI(%s, %d, %d) - %d) * %d" cs lo hi lo stride.(d))
+        coord_strs
+    in
+    spf "%s[%s]" (buf name) (String.concat " + " (Array.to_list parts))
+  end
 
 and expr_to_c ctx (e : Expr.t) =
   match e with
-  | Expr.Const f -> lit ctx f
-  | Expr.Var i -> spf "%s %s" (cast ctx) (var_name i)
+  | Expr.Const f -> double_lit f
+  | Expr.Var i -> spf "(double) %s" (var_name i)
   | Expr.Load (name, coords) -> load_to_c ctx name coords
   | Expr.Binop (op, a, b) -> (
       let ca = expr_to_c ctx a and cb = expr_to_c ctx b in
@@ -118,24 +103,23 @@ and expr_to_c ctx (e : Expr.t) =
       | Expr.Sub -> spf "(%s - %s)" ca cb
       | Expr.Mul -> spf "(%s * %s)" ca cb
       | Expr.Div -> spf "(%s / %s)" ca cb
-      | Expr.Min -> spf "%s(%s, %s)" (libm ctx "fmin") ca cb
-      | Expr.Max -> spf "%s(%s, %s)" (libm ctx "fmax") ca cb
-      | Expr.Mod -> spf "%s ((int) (%s) %% (int) (%s))" (cast ctx) ca cb)
+      | Expr.Min -> spf "fmin(%s, %s)" ca cb
+      | Expr.Max -> spf "fmax(%s, %s)" ca cb
+      | Expr.Mod -> spf "(double) ((int) (%s) %% (int) (%s))" ca cb)
   | Expr.Unop (op, a) -> (
       let ca = expr_to_c ctx a in
       match op with
       | Expr.Neg -> spf "(-%s)" ca
-      | Expr.Abs -> spf "%s(%s)" (libm ctx "fabs") ca
-      | Expr.Sqrt -> spf "%s(%s)" (libm ctx "sqrt") ca
-      | Expr.Exp -> spf "%s(%s)" (libm ctx "exp") ca
-      | Expr.Log -> spf "%s(%s)" (libm ctx "log") ca
+      | Expr.Abs -> spf "fabs(%s)" ca
+      | Expr.Sqrt -> spf "sqrt(%s)" ca
+      | Expr.Exp -> spf "exp(%s)" ca
+      | Expr.Log -> spf "log(%s)" ca
       | Expr.Floor ->
           (* The interpreter rounds through int ([Float.of_int
-             (int_of_float (Float.floor x))]); the double kernel must
-             spell exactly that to stay bitwise-comparable. *)
-          if ctx.f64 then spf "(double) (int) floor(%s)" ca else spf "floorf(%s)" ca
-      | Expr.Sin -> spf "%s(%s)" (libm ctx "sin") ca
-      | Expr.Cos -> spf "%s(%s)" (libm ctx "cos") ca)
+             (int_of_float (Float.floor x))]). *)
+          spf "(double) (int) floor(%s)" ca
+      | Expr.Sin -> spf "sin(%s)" ca
+      | Expr.Cos -> spf "cos(%s)" ca)
   | Expr.Select (c, a, b) ->
       spf "(%s ? %s : %s)" (cond_to_c ctx c) (expr_to_c ctx a) (expr_to_c ctx b)
 
@@ -158,204 +142,6 @@ let scratch_alloc_extents (ga : Group_analysis.t) ~member:m ~tile =
       let s = ga.Group_analysis.scales.(m).(g) in
       let elo, ehi = ga.Group_analysis.expansions.(m).(g) in
       min stage.Stage.dims.(k).Stage.extent (((tile.(g) + elo + ehi) / s) + 2))
-
-let emit (spec : Schedule_spec.t) =
-  Schedule_spec.validate spec;
-  let p = spec.Schedule_spec.pipeline in
-  let b = Buffer.create (64 * 1024) in
-  let out fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  out "// Generated by polymage-dp (OCaml reproduction); pipeline: %s" p.Pipeline.name;
-  out "#include <math.h>";
-  out "#include <omp.h>";
-  out "#define CLAMPI(x, lo, hi) ((x) < (lo) ? (lo) : ((x) > (hi) ? (hi) : (x)))";
-  out "#define FDIV(a, b) ((a) >= 0 ? (a) / (b) : -((-(a) + (b) - 1) / (b)))";
-  out "#define CDIV(a, b) ((a) >= 0 ? ((a) + (b) - 1) / (b) : -((-(a)) / (b)))";
-  out "";
-  let groups =
-    List.map
-      (fun (g : Schedule_spec.group) ->
-        match Group_analysis.analyze p g.Schedule_spec.stages with
-        | Ok ga -> (ga, Footprint.clamp_tile ga g.Schedule_spec.tile_sizes)
-        | Error f ->
-            invalid_arg
-              (Format.asprintf "C_emit.emit: group failed analysis: %a" Group_analysis.pp_failure f))
-      spec.Schedule_spec.groups
-  in
-  (* Full buffers for all live-outs. *)
-  List.iter
-    (fun ((ga : Group_analysis.t), _) ->
-      Array.iteri
-        (fun m sid ->
-          if ga.Group_analysis.liveouts.(m) then begin
-            let stage = Pipeline.stage p sid in
-            out "static float %s[%d];  // live-out of its group" (buf stage.Stage.name)
-              (Stage.domain_points stage)
-          end)
-        ga.Group_analysis.members)
-    groups;
-  out "";
-  let params =
-    String.concat ", "
-      (Array.to_list
-         (Array.map (fun (i : Pipeline.input) -> "const float *" ^ buf i.Pipeline.in_name) p.Pipeline.inputs))
-  in
-  out "void pipeline_%s(%s) {" p.Pipeline.name params;
-  List.iteri
-    (fun gi ((ga : Group_analysis.t), tile) ->
-      let nd = ga.Group_analysis.n_dims in
-      let names =
-        String.concat ", "
-          (Array.to_list
-             (Array.map (fun sid -> (Pipeline.stage p sid).Stage.name) ga.Group_analysis.members))
-      in
-      out "  // ---- group %d: {%s}, tile [%s]" gi names
-        (String.concat " x " (Array.to_list (Array.map string_of_int tile)));
-      let tiles_per_dim =
-        Array.init nd (fun d ->
-            let e = Group_analysis.dim_extent ga d in
-            (e + tile.(d) - 1) / tile.(d))
-      in
-      out "#pragma omp parallel for schedule(static) collapse(%d)" (min 2 nd);
-      for d = 0 to nd - 1 do
-        out "  %sfor (int t%d = 0; t%d < %d; t%d++) {" (String.make (2 * d) ' ') d d
-          tiles_per_dim.(d) d
-      done;
-      let ind = String.make (2 * (nd + 1)) ' ' in
-      for d = 0 to nd - 1 do
-        out "  %sint tlo%d = %d + t%d * %d;" ind d ga.Group_analysis.dim_lo.(d) d tile.(d);
-        out "  %sint thi%d = tlo%d + %d - 1; if (thi%d > %d) thi%d = %d;" ind d d tile.(d) d
-          ga.Group_analysis.dim_hi.(d) d ga.Group_analysis.dim_hi.(d)
-      done;
-      let in_group name =
-        let rec go m =
-          if m = Array.length ga.Group_analysis.members then None
-          else if (Pipeline.stage p ga.Group_analysis.members.(m)).Stage.name = name then Some m
-          else go (m + 1)
-        in
-        go 0
-      in
-      Array.iteri
-        (fun m sid ->
-          let stage = Pipeline.stage p sid in
-          let sname = stage.Stage.name in
-          let own_nd = Stage.ndims stage in
-          out "  %s// tile of function %s" ind sname;
-          (* Region bounds in own coordinates. *)
-          let allocs = scratch_alloc_extents ga ~member:m ~tile in
-          let max_ext = Array.fold_left ( * ) 1 allocs in
-          for k = 0 to own_nd - 1 do
-            let g = ga.Group_analysis.dim_of_stage.(m).(k) in
-            let s = ga.Group_analysis.scales.(m).(g) in
-            let elo, ehi = ga.Group_analysis.expansions.(m).(g) in
-            let lo, hi = dim_bounds stage.Stage.dims.(k) in
-            out "  %sint %s_lo%d = CLAMPI(FDIV(tlo%d - %d, %d), %d, %d);" ind (scratch sname) k g
-              elo s lo hi;
-            out "  %sint %s_hi%d = CLAMPI(CDIV(thi%d + %d, %d), %d, %d);" ind (scratch sname) k g
-              ehi s lo hi
-          done;
-          let liveout = ga.Group_analysis.liveouts.(m) in
-          (* Every member computes into a tile-local scratch region;
-             live-outs copy their exact tile part out afterwards
-             (direct full-buffer writes of the overlap-expanded region
-             would rewrite neighboring tiles' edge points). *)
-          for k = own_nd - 1 downto 0 do
-            if k = own_nd - 1 then out "  %sint %s_st%d = 1;" ind (scratch sname) k
-            else
-              out "  %sint %s_st%d = %s_st%d * (%s_hi%d - %s_lo%d + 1);" ind (scratch sname) k
-                (scratch sname) (k + 1) (scratch sname) (k + 1) (scratch sname) (k + 1)
-          done;
-          out "  %sfloat %s[%d];" ind (scratch sname) max_ext;
-          for k = 0 to own_nd - 1 do
-            let pragma = if k = own_nd - 1 then spf "#pragma ivdep\n" else "" in
-            if pragma <> "" then out "%s" "#pragma ivdep";
-            out "  %s%sfor (int %s = %s_lo%d; %s <= %s_hi%d; %s++) {" ind
-              (String.make (2 * k) ' ') (var_name k) (scratch sname) k (var_name k)
-              (scratch sname) k (var_name k)
-          done;
-          let inner_ind = ind ^ String.make (2 * own_nd) ' ' in
-          let ctx = { p; ga; member = m; in_group; f64 = false } in
-          ignore ctx.member;
-          let dest =
-            let parts =
-              List.init own_nd (fun d ->
-                  spf "(%s - %s_lo%d) * %s_st%d" (var_name d) (scratch sname) d (scratch sname) d)
-            in
-            spf "%s[%s]" (scratch sname) (String.concat " + " parts)
-          in
-          (match stage.Stage.def with
-          | Stage.Pointwise body -> out "  %s%s = %s;" inner_ind dest (expr_to_c ctx body)
-          | Stage.Reduction { op; init; rdom; body } ->
-              out "  %sfloat acc = %s;" inner_ind (float_lit init);
-              Array.iteri
-                (fun r (lo, ext) ->
-                  out "  %sfor (int %s = %d; %s < %d; %s++) {" inner_ind
-                    (var_name (own_nd + r)) lo (var_name (own_nd + r)) (lo + ext)
-                    (var_name (own_nd + r)))
-                rdom;
-              let acc_op =
-                match op with
-                | Stage.Rsum -> spf "acc += %s;" (expr_to_c ctx body)
-                | Stage.Rmax -> spf "acc = fmaxf(acc, %s);" (expr_to_c ctx body)
-                | Stage.Rmin -> spf "acc = fminf(acc, %s);" (expr_to_c ctx body)
-              in
-              out "  %s  %s" inner_ind acc_op;
-              Array.iteri (fun _ _ -> out "  %s}" inner_ind) rdom;
-              out "  %s%s = acc;" inner_ind dest);
-          for k = own_nd - 1 downto 0 do
-            out "  %s%s}" ind (String.make (2 * k) ' ')
-          done;
-          (* Copy-out: the intersection of this tile with the member's
-             own points (may be empty: the loops then do not run). *)
-          if liveout then begin
-            out "  %s// copy exact tile of %s to its full buffer" ind sname;
-            for k = 0 to own_nd - 1 do
-              let g = ga.Group_analysis.dim_of_stage.(m).(k) in
-              let s = ga.Group_analysis.scales.(m).(g) in
-              let dlo, dhi = dim_bounds stage.Stage.dims.(k) in
-              out "  %sint cp_%s_lo%d = CDIV(tlo%d, %d); if (cp_%s_lo%d < %d) cp_%s_lo%d = %d;"
-                ind sname k g s sname k dlo sname k dlo;
-              out "  %sint cp_%s_hi%d = FDIV(thi%d, %d); if (cp_%s_hi%d > %d) cp_%s_hi%d = %d;"
-                ind sname k g s sname k dhi sname k dhi
-            done;
-            let dims = stage.Stage.dims in
-            let nown = Array.length dims in
-            let stride = Array.make nown 1 in
-            for d = nown - 2 downto 0 do
-              stride.(d) <- stride.(d + 1) * dims.(d + 1).Stage.extent
-            done;
-            for k = 0 to own_nd - 1 do
-              out "  %s%sfor (int %s = cp_%s_lo%d; %s <= cp_%s_hi%d; %s++) {" ind
-                (String.make (2 * k) ' ') (var_name k) sname k (var_name k) sname k (var_name k)
-            done;
-            let buf_idx =
-              String.concat " + "
-                (List.init nown (fun d ->
-                     spf "(%s - %d) * %d" (var_name d) dims.(d).Stage.lo stride.(d)))
-            in
-            let scr_idx =
-              String.concat " + "
-                (List.init own_nd (fun d ->
-                     spf "(%s - %s_lo%d) * %s_st%d" (var_name d) (scratch sname) d (scratch sname) d))
-            in
-            out "  %s%s%s[%s] = %s[%s];" inner_ind "" (buf sname) buf_idx (scratch sname) scr_idx;
-            for k = own_nd - 1 downto 0 do
-              out "  %s%s}" ind (String.make (2 * k) ' ')
-            done
-          end)
-        ga.Group_analysis.members;
-      for d = nd - 1 downto 0 do
-        out "  %s}  // tile-space loop t%d" (String.make (2 * d) ' ') d
-      done)
-    groups;
-  out "}";
-  Buffer.contents b
-
-let emit_to_file spec path =
-  let oc = open_out path in
-  output_string oc (emit spec);
-  close_out oc
-
-(* ---- Native kernel emission (double precision, per-group ABI) ------ *)
 
 let kernel_abi_version = Pmdp_plan.kernel_abi_version
 let kernel_symbol gi = spf "pmdp_kernel_group_%d" gi
@@ -408,13 +194,9 @@ let emit_kernels (p : Pipeline.t) (ir : Pmdp_plan.t) =
             (e + tile.(d) - 1) / tile.(d))
       in
       let in_group name =
-        let rec go m =
-          if m = Array.length ga.Group_analysis.members then None
-          else if (Pipeline.stage p ga.Group_analysis.members.(m)).Stage.name = name then Some m
-          else go (m + 1)
-        in
-        go 0
+        Array.exists (fun sid -> (Pipeline.stage p sid).Stage.name = name) ga.Group_analysis.members
       in
+      let ctx = { p; in_group } in
       (* Per-thread scratch arenas live on the heap (per-tile regions
          of the larger apps overflow a thread stack), allocated once
          per thread for the whole tile sweep.  Without OpenMP the
@@ -470,14 +252,12 @@ let emit_kernels (p : Pipeline.t) (ir : Pmdp_plan.t) =
               (scratch sname) k (var_name k)
           done;
           let inner_ind = ind ^ String.make (2 * own_nd) ' ' in
-          let ctx = { p; ga; member = m; in_group; f64 = true } in
-          ignore ctx.member;
           let dest =
-            let parts =
+            let idx =
               List.init own_nd (fun d ->
                   spf "(%s - %s_lo%d) * %s_st%d" (var_name d) (scratch sname) d (scratch sname) d)
             in
-            spf "%s[%s]" (scratch sname) (String.concat " + " parts)
+            spf "%s[%s]" (scratch sname) (String.concat " + " idx)
           in
           (match stage.Stage.def with
           | Stage.Pointwise body -> out "  %s%s = %s;" inner_ind dest (expr_to_c ctx body)
@@ -513,26 +293,17 @@ let emit_kernels (p : Pipeline.t) (ir : Pmdp_plan.t) =
                 ind sname k g s sname k dhi sname k dhi
             done;
             let dims = stage.Stage.dims in
-            let nown = Array.length dims in
-            let stride = Array.make nown 1 in
-            for d = nown - 2 downto 0 do
-              stride.(d) <- stride.(d + 1) * dims.(d + 1).Stage.extent
-            done;
+            let stride = strides dims in
             for k = 0 to own_nd - 1 do
               out "  %s%sfor (int %s = cp_%s_lo%d; %s <= cp_%s_hi%d; %s++) {" ind
                 (String.make (2 * k) ' ') (var_name k) sname k (var_name k) sname k (var_name k)
             done;
             let buf_idx =
               String.concat " + "
-                (List.init nown (fun d ->
+                (List.init own_nd (fun d ->
                      spf "(%s - %d) * %d" (var_name d) dims.(d).Stage.lo stride.(d)))
             in
-            let scr_idx =
-              String.concat " + "
-                (List.init own_nd (fun d ->
-                     spf "(%s - %s_lo%d) * %s_st%d" (var_name d) (scratch sname) d (scratch sname) d))
-            in
-            out "  %s%s[%s] = %s[%s];" inner_ind (buf sname) buf_idx (scratch sname) scr_idx;
+            out "  %s%s[%s] = %s;" inner_ind (buf sname) buf_idx dest;
             for k = own_nd - 1 downto 0 do
               out "  %s%s}" ind (String.make (2 * k) ' ')
             done
@@ -548,45 +319,4 @@ let emit_kernels (p : Pipeline.t) (ir : Pmdp_plan.t) =
       out "}";
       out "")
     ir.Pmdp_plan.groups;
-  Buffer.contents b
-
-let emit_with_harness (spec : Schedule_spec.t) =
-  let p = spec.Schedule_spec.pipeline in
-  let b = Buffer.create (64 * 1024) in
-  Buffer.add_string b (emit spec);
-  let out fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  out "";
-  out "#include <stdio.h>";
-  out "#include <stdlib.h>";
-  out "static float *read_bin(const char *path, long n) {";
-  out "  FILE *f = fopen(path, \"rb\");";
-  out "  if (!f) { fprintf(stderr, \"cannot open %%s\\n\", path); exit(2); }";
-  out "  float *data = (float *) malloc(n * sizeof(float));";
-  out "  if (fread(data, sizeof(float), n, f) != (size_t) n) exit(3);";
-  out "  fclose(f);";
-  out "  return data;";
-  out "}";
-  out "static void write_bin(const char *path, const float *data, long n) {";
-  out "  FILE *f = fopen(path, \"wb\");";
-  out "  if (!f) exit(4);";
-  out "  fwrite(data, sizeof(float), n, f);";
-  out "  fclose(f);";
-  out "}";
-  out "int main(void) {";
-  Array.iter
-    (fun (i : Pipeline.input) ->
-      let n = dims_size i.Pipeline.in_dims in
-      out "  float *%s = read_bin(\"%s.bin\", %d);" (buf i.Pipeline.in_name) i.Pipeline.in_name n)
-    p.Pipeline.inputs;
-  out "  pipeline_%s(%s);" p.Pipeline.name
-    (String.concat ", "
-       (Array.to_list (Array.map (fun (i : Pipeline.input) -> buf i.Pipeline.in_name) p.Pipeline.inputs)));
-  List.iter
-    (fun sid ->
-      let stage = Pipeline.stage p sid in
-      out "  write_bin(\"%s.out.bin\", %s, %d);" stage.Stage.name (buf stage.Stage.name)
-        (Stage.domain_points stage))
-    p.Pipeline.outputs;
-  out "  return 0;";
-  out "}";
   Buffer.contents b

@@ -1,46 +1,23 @@
-(** C++/OpenMP code generation for a tiled schedule.
+(** C/OpenMP code generation for a lowered plan.
 
     Emits code with the structure of the paper's Fig. 3: fused
-    tile-space loops parallelized with [#pragma omp parallel for],
-    per-tile scratch buffers for intermediate stages, overlap-expanded
-    region loops per member stage, and [#pragma ivdep] innermost
-    loops.  The emitted code is self-contained C++ (plus OpenMP) and
-    is what PolyMage would hand to icpc/g++; in this repository it
-    serves inspection and testing — execution goes through
-    {!Pmdp_exec.Tiled_exec}. *)
-
-val scratch_alloc_extents :
-  Pmdp_analysis.Group_analysis.t -> member:int -> tile:int array -> int array
-(** Per own-dimension extents of the on-stack scratch array the
-    emitted code allocates for a member's per-tile region (the
-    [float scr_f[N]] declaration uses their product).  Exposed so the
-    static bounds checker ({!Pmdp_verify}) can prove every tile's
-    region fits the allocation. *)
-
-val emit : Pmdp_core.Schedule_spec.t -> string
-(** Full translation unit for the schedule's pipeline.
-    @raise Invalid_argument if a group fails analysis. *)
-
-val emit_to_file : Pmdp_core.Schedule_spec.t -> string -> unit
-(** Write [emit] output to the given path. *)
-
-val emit_with_harness : Pmdp_core.Schedule_spec.t -> string
-(** [emit] plus a [main] that reads every pipeline input from
-    [<name>.bin] (raw little-endian float32, row-major), runs the
-    pipeline, and writes every pipeline output stage to
-    [<name>.out.bin].  Used by the differential test that runs the
-    generated C++ against the OCaml executor. *)
-
-(** {2 Native kernels}
-
-    Unlike {!emit} — float32, one whole-pipeline entry point, meant
-    for inspection — the kernel emitter produces the translation unit
-    the native backend ({!Pmdp_kernel}) actually compiles, loads, and
+    tile-space loops parallelized with OpenMP, per-tile scratch
+    regions for every member stage, overlap-expanded region loops per
+    member, and [#pragma ivdep] innermost loops.  The translation unit
+    is what the native backend ({!Pmdp_kernel}) compiles, loads, and
     executes: double precision throughout (so results can be compared
     bitwise against the double-precision interpreter and
     {!Pmdp_exec.Reference}), one [extern] function per fused group,
-    and every buffer passed in from outside rather than held in
-    [static] arrays. *)
+    and every buffer passed in from outside.  [pmdp emit-c] prints the
+    same text. *)
+
+val scratch_alloc_extents :
+  Pmdp_analysis.Group_analysis.t -> member:int -> tile:int array -> int array
+(** Per own-dimension extents of the per-thread heap scratch arena the
+    emitted code allocates for a member's per-tile region (the
+    [malloc] of [scr_f] uses their product).  Exposed so the static
+    bounds checker ({!Pmdp_verify}) can prove every tile's region fits
+    the allocation. *)
 
 val kernel_abi_version : int
 (** Version of the emitted extern ABI below.  Salted into
@@ -62,10 +39,10 @@ val emit_kernels : Pmdp_dsl.Pipeline.t -> Pmdp_plan.t -> string
 (** The kernel translation unit for a lowered plan: per-group tile
     loops under [#pragma omp parallel]/[#pragma omp for] (ignored —
     hence serial but still correct — when compiled without OpenMP),
-    per-thread heap scratch arenas, and the same clamp/region/copy-out
-    structure as {!emit}.  Arithmetic mirrors the interpreter
-    ({!Pmdp_exec.Compile}) operation for operation — [double]
-    literals via ["%.17g"], [fmin]/[fmax], [Floor] as
+    per-thread heap scratch arenas, clamped region loops, and an exact
+    copy-out of each live-out's tile.  Arithmetic mirrors the
+    interpreter ({!Pmdp_exec.Compile}) operation for operation —
+    [double] literals via ["%.17g"], [fmin]/[fmax], [Floor] as
     [(double) (int) floor(x)] — so a kernel compiled with
     [-ffp-contract=off] is expected bitwise-equal to
     {!Pmdp_exec.Reference}.

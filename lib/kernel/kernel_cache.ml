@@ -122,19 +122,24 @@ let quarantine t ~kernel_digest ~reason =
   end
 
 let copy_file src dst =
-  let ic = open_in_bin src in
-  let oc = open_out_bin dst in
-  let buf = Bytes.create 65536 in
-  let rec loop () =
-    let n = input ic buf 0 (Bytes.length buf) in
-    if n > 0 then begin
-      output oc buf 0 n;
-      loop ()
-    end
-  in
-  loop ();
-  close_in ic;
-  close_out oc
+  In_channel.with_open_bin src (fun ic ->
+      let oc = open_out_bin dst in
+      let buf = Bytes.create 65536 in
+      let rec loop () =
+        let n = input ic buf 0 (Bytes.length buf) in
+        if n > 0 then begin
+          output oc buf 0 n;
+          loop ()
+        end
+      in
+      match
+        loop ();
+        close_out oc
+      with
+      | () -> ()
+      | exception e ->
+          close_out_noerr oc;
+          raise e)
 
 (* Atomic and best-effort, like every persistent store in the repo:
    temp file + rename for each half, .so first so a crash between the

@@ -109,11 +109,19 @@ let to_string_pretty j =
   Buffer.add_char b '\n';
   Buffer.contents b
 
+(* [close_out] inside the body, not in a [Fun.protect] finally: a
+   failed last flush (ENOSPC) then raises the plain [Sys_error] callers
+   catch rather than [Fun.Finally_raised]. *)
 let to_file path j =
   let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string_pretty j))
+  match
+    output_string oc (to_string_pretty j);
+    close_out oc
+  with
+  | () -> ()
+  | exception e ->
+      close_out_noerr oc;
+      raise e
 
 (* ------------------------------------------------------------------ *)
 (* Parsing.  Recursive descent over the input string; accepts exactly

@@ -25,7 +25,10 @@ val to_string_pretty : t -> string
     and diffed. *)
 
 val to_file : string -> t -> unit
-(** Write the pretty form to a file (truncating). *)
+(** Write the pretty form to a file (truncating).  The channel is
+    closed on every path.
+    @raise Sys_error when the open, a write, or the final flush fails
+    (a full disk included). *)
 
 val of_string : string -> (t, string) result
 (** Parse one JSON value (standard syntax; [\u] escapes decode to

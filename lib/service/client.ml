@@ -61,13 +61,11 @@ let add_retry_stats a b =
     gave_up = a.gave_up + b.gave_up;
   }
 
-type conn = { fd : Unix.file_descr; mutable proto : int }
-
 type t = {
   endpoint : Transport.endpoint;
   retry : Retry_policy.t;
   rng : Rng.t;
-  mutable conn : conn option;
+  mutable conn : Unix.file_descr option;
   mutable closed : bool;
   mutable attempts : int;
   mutable retried : int;
@@ -98,35 +96,19 @@ let connect_error endpoint e =
           (Unix.error_message e);
     }
 
-(* Offer our highest version; an older server pins the connection and
-   echoes the negotiated version, a v1 server answers the hello with
-   an unknown-operation error — which is itself the answer: v1. *)
-let handshake c =
-  match
-    Protocol.write_frame c.fd (Protocol.json_of_hello Protocol.proto_version);
-    Protocol.read_frame c.fd
-  with
-  | Some reply when Option.bind (Json.member "ok" reply) Json.to_bool_opt = Some true ->
-      c.proto <-
-        Option.value ~default:1 (Option.bind (Json.member "proto" reply) Json.to_int_opt)
-  | Some _ | None -> c.proto <- 1
-  | exception (Protocol.Closed | Failure _ | Unix.Unix_error _) -> c.proto <- 1
-
 let dial t =
   match Transport.connect t.endpoint with
   | fd ->
-      let c = { fd; proto = 1 } in
-      handshake c;
-      t.conn <- Some c;
-      Ok c
+      t.conn <- Some fd;
+      Ok fd
   | exception Unix.Unix_error (e, _, _) -> Error (connect_error t.endpoint e)
 
 let drop_conn t =
   match t.conn with
   | None -> ()
-  | Some c ->
+  | Some fd ->
       t.conn <- None;
-      (try Unix.close c.fd with Unix.Unix_error _ -> ())
+      (try Unix.close fd with Unix.Unix_error _ -> ())
 
 let connect ?(retry = Retry_policy.none) ~endpoint () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -152,7 +134,6 @@ let connect ?(retry = Retry_policy.none) ~endpoint () =
   in
   match go 1 with Ok t -> Ok t | Error e -> Error e
 
-let proto t = match t.conn with Some c -> c.proto | None -> 0
 let retry_stats t = { attempts = t.attempts; retried = t.retried; gave_up = t.gave_up }
 
 let close t =
@@ -163,10 +144,10 @@ let close t =
 
 (* One request frame out, one reply frame back, with every transport
    failure mode folded into a typed error. *)
-let round_trip c req =
+let round_trip fd req =
   match
-    Protocol.write_frame c.fd req;
-    Protocol.read_frame c.fd
+    Protocol.write_frame fd req;
+    Protocol.read_frame fd
   with
   | None -> Error (transport_error "server closed the connection")
   | Some reply -> Ok reply
@@ -179,10 +160,10 @@ let round_trip c req =
    (the stream may hold a half-written frame), [`Typed] ones come from
    a healthy server and keep it. *)
 let attempt_once t req =
-  match (match t.conn with Some c -> Ok c | None -> dial t) with
+  match (match t.conn with Some fd -> Ok fd | None -> dial t) with
   | Error e -> `Transport e
-  | Ok c -> (
-      match round_trip c req with
+  | Ok fd -> (
+      match round_trip fd req with
       | Error e -> `Transport e
       | Ok reply -> (
           match Option.bind (Json.member "ok" reply) Json.to_bool_opt with

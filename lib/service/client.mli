@@ -83,15 +83,11 @@ type remote_response = {
 
 val connect :
   ?retry:Retry_policy.t -> endpoint:Transport.endpoint -> unit -> (t, Pmdp_util.Pmdp_error.t) result
-(** Connect and negotiate the protocol version (one hello round trip;
-    a v1 server that rejects the hello pins the connection to v1).  A
-    refused/missing endpoint is a typed, retryable error naming the
-    endpoint — never a raw [Unix.Unix_error] — and is itself retried
-    under [retry] (default {!Retry_policy.none}).  The policy is
-    remembered and applied to every subsequent {!submit}. *)
-
-val proto : t -> int
-(** The negotiated protocol version (0 when disconnected). *)
+(** Connect (no handshake: the first frame on the connection is the
+    first request).  A refused/missing endpoint is a typed, retryable
+    error naming the endpoint — never a raw [Unix.Unix_error] — and is
+    itself retried under [retry] (default {!Retry_policy.none}).  The
+    policy is remembered and applied to every subsequent {!submit}. *)
 
 val retry_stats : t -> retry_stats
 

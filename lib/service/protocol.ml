@@ -6,7 +6,6 @@ module Buffer_ = Pmdp_exec.Buffer
 exception Closed
 
 let max_frame_bytes = 1 lsl 20
-let proto_version = 3
 
 (* ------------------------------------------------------------------ *)
 (* Framing *)
@@ -81,8 +80,6 @@ let read_frame fd =
 
 (* ------------------------------------------------------------------ *)
 (* Codecs *)
-
-let json_of_hello proto = Json.Obj [ ("op", Json.String "hello"); ("proto", Json.Int proto) ]
 
 let request_of_json j =
   let invalid reason = Error (Pmdp_error.Plan_invalid { context = "protocol: submit"; reason }) in

@@ -5,29 +5,13 @@
     many bytes of UTF-8 JSON (one value per frame).  The client sends
     one request frame and reads one response frame; connections are
     persistent, so a client can issue any number of requests before
-    closing.
-
-    {2 Versioning}
-
-    The protocol is versioned ({!proto_version}, currently 3).  A
-    connection starts at version 1 — everything a v1 client can say
-    still means the same thing — and upgrades by sending
-    [{"op": "hello", "proto": N}]; the server answers
-    [{"ok": true, "proto": min N proto_version}] and pins the
-    connection to that version.  v2 added the handshake itself, the
-    [priority]/[deadline] submit fields, and the sharded stats shape;
-    v3 added the [health] operation, the ["circuit-open"] error kind,
-    and the breaker/restart counters in stats.  Unknown-operation
-    errors name the connection's negotiated version, so a client
-    talking past the server finds out which dialect it was heard
-    in.
+    closing.  Every client is in-tree, so there is one dialect and no
+    version negotiation.
 
     {2 Operations}
 
     Every request object carries an ["op"] field:
 
-    - [{"op": "hello", "proto": N}] — negotiate the protocol version
-      (see above).
     - [{"op": "submit", "app": ..., "scale": ..., "scheduler": ...,
       "seed": ..., "priority": ..., "deadline": ...}] — run a
       pipeline (all fields but [app] optional, with
@@ -45,7 +29,7 @@
       index), their field-wise sum, the circuit-breaker ledger, and
       the disk-cache counters (or [null] when no [--cache-dir] is
       configured).
-    - [{"op": "health"}] (v3) — [{"ok": true, "health": {"draining":
+    - [{"op": "health"}] — [{"ok": true, "health": {"draining":
       ..., "shards": [...], "breaker": {...}, "circuits": [...]}}]:
       per-shard dispatcher liveness, queue depth, in-flight count and
       supervisor restarts, plus every non-closed circuit.
@@ -54,7 +38,8 @@
 
     Failures reply [{"ok": false, "error": {"kind": ..., "message":
     ..., <payload fields>}}] with the typed
-    {!Pmdp_util.Pmdp_error.t} rendering. *)
+    {!Pmdp_util.Pmdp_error.t} rendering; an unknown or missing ["op"]
+    is a [Plan_invalid] error naming it. *)
 
 exception Closed
 (** Peer hung up mid-frame (a clean EOF at a frame boundary reads as
@@ -63,9 +48,6 @@ exception Closed
 val max_frame_bytes : int
 (** Refuse frames larger than this (1 MiB) — a corrupt or hostile
     length prefix must not trigger a giant allocation. *)
-
-val proto_version : int
-(** The highest protocol version this build speaks (3). *)
 
 val write_frame : Unix.file_descr -> Pmdp_report.Json.t -> unit
 (** Serialize compactly and send one frame.
@@ -92,10 +74,6 @@ val write_garbage : Unix.file_descr -> unit
     the reader surfaces it as [Failure]. *)
 
 (** {2 Codecs} *)
-
-val json_of_hello : int -> Pmdp_report.Json.t
-(** The version-negotiation operation for a client that speaks
-    [proto]. *)
 
 val request_of_json :
   Pmdp_report.Json.t -> (Service.request, Pmdp_util.Pmdp_error.t) result

@@ -16,10 +16,6 @@ type t = {
   mutable stopped : bool;  (* everything joined; [wait] may return *)
 }
 
-(* Per-connection protocol state: every connection starts in v1 until
-   its client says hello. *)
-type conn = { mutable proto : int }
-
 let endpoint t = t.endpoint
 
 let ok fields = Json.Obj (("ok", Json.Bool true) :: fields)
@@ -33,19 +29,8 @@ let status_string = function
   | None -> "unknown"
 
 (* [dispatch] returns [(reply, shutdown_requested)]. *)
-let dispatch t conn req =
+let dispatch t req =
   match Option.bind (Json.member "op" req) Json.to_string_opt with
-  | Some "hello" -> (
-      match Option.bind (Json.member "proto" req) Json.to_int_opt with
-      | None ->
-          ( err
-              (Pmdp_error.Plan_invalid
-                 { context = "protocol: hello"; reason = "missing or ill-typed field \"proto\"" }),
-            false )
-      | Some requested ->
-          (* Speak the highest dialect both sides know; never below 1. *)
-          conn.proto <- max 1 (min requested Protocol.proto_version);
-          (ok [ ("proto", Json.Int conn.proto) ], false))
   | Some "submit" -> (
       match Protocol.request_of_json req with
       | Error e -> (err e, false)
@@ -72,7 +57,7 @@ let dispatch t conn req =
                reason =
                  (match op with
                  | None -> "missing operation field \"op\""
-                 | Some op -> Printf.sprintf "unknown operation %S (protocol v%d)" op conn.proto);
+                 | Some op -> Printf.sprintf "unknown operation %S" op);
              }),
         false )
 
@@ -149,14 +134,13 @@ and write_reply t fd reply =
       false
 
 and handle_conn t fd =
-  let conn = { proto = 1 } in
   let continue = ref true in
   (try
      while !continue do
        match Protocol.read_frame fd with
        | None -> continue := false
        | Some req ->
-           let reply, shutdown_requested = dispatch t conn req in
+           let reply, shutdown_requested = dispatch t req in
            if not (write_reply t fd reply) then continue := false;
            if shutdown_requested then begin
              continue := false;

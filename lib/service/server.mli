@@ -5,9 +5,7 @@
     One listener thread accepts connections; each connection gets its
     own thread running a read-frame → dispatch → write-frame loop over
     the {!Protocol} (connections are persistent — any number of
-    requests per connection).  Each connection carries its own
-    negotiated protocol version (v1 until the client sends a hello).
-    Submits block their connection thread until the service finishes
+    requests per connection).  Submits block their connection thread until the service finishes
     the request, so client-side concurrency maps one connection per
     in-flight request.
 

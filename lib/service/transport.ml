@@ -36,7 +36,7 @@ let of_string s =
           if String.length s = 0 then Error "empty endpoint"
           else
             (* A scheme we do not speak is an error; anything else is a
-               bare Unix-socket path (the pre-endpoint --socket form). *)
+               bare Unix-socket path. *)
             let has_scheme =
               match String.index_opt s ':' with
               | Some i ->

@@ -10,7 +10,7 @@ type endpoint =
 
 val of_string : string -> (endpoint, string) result
 (** Parse ["unix:///run/pmdp.sock"], ["tcp://127.0.0.1:9900"], or a
-    bare path (treated as [Uds], the pre-endpoint [--socket] form).
+    bare path (treated as [Uds]).
     Unknown [scheme://] prefixes, empty hosts/paths, and out-of-range
     ports are errors. *)
 

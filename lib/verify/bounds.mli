@@ -15,8 +15,8 @@
       is monotone, so endpoints realize the extremes).
     - [scratch-overflow]: the per-tile region extents of every member
       must fit the scratch allocations both executors derive — the
-      runtime arena of {!Pmdp_exec.Tiled_exec} and the on-stack
-      scratch arrays sized by {!Pmdp_codegen.C_emit} — for every tile
-      position, proving the emitted [float scr[N]] never overflows. *)
+      runtime arena of {!Pmdp_exec.Tiled_exec} and the per-thread heap
+      arenas sized by {!Pmdp_codegen.C_emit} — for every tile
+      position, proving the emitted [scr_f] arena never overflows. *)
 
 val check : Pmdp_core.Schedule_spec.t -> Diagnostic.t list

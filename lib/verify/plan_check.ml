@@ -128,7 +128,7 @@ let coverage_diags gi (g : Pmdp_plan.group) =
 
 (* Scratch-extent consistency: the IR's claimed extents must equal the
    interpreter's arena-sizing formula and dominate the C backend's
-   stack allocation, and the claimed arena sizes must follow. *)
+   per-thread heap arena, and the claimed arena sizes must follow. *)
 let scratch_diags gi (g : Pmdp_plan.group) (ga : GA.t) =
   let diags = ref [] in
   let add d = diags := d :: !diags in

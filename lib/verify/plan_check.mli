@@ -20,8 +20,8 @@
       scratch claims cross-checked against
       {!Pmdp_exec.Tiled_exec.member_scratch_extents} (the arena the
       interpreter allocates) and
-      {!Pmdp_codegen.C_emit.scratch_alloc_extents} (the stack array
-      the C backend emits);
+      {!Pmdp_codegen.C_emit.scratch_alloc_extents} (the per-thread
+      heap arena the C backend emits);
     - [dependence], [group-order], [not-materialized] — lowered-level
       dependence/race audit: in-group edges must point forward in
       member order, cross-group producers must run earlier and be

@@ -10,8 +10,9 @@
     [install] registers the legality + race passes as
     {!Pmdp_core.Schedule_spec}'s legality oracle, after which
     [Schedule_spec.validate] — and therefore
-    {!Pmdp_exec.Tiled_exec.plan} and {!Pmdp_codegen.C_emit.emit},
-    which validate on entry — refuses illegal or racy schedules. *)
+    {!Pmdp_exec.Tiled_exec.plan} and {!Pmdp_plan.of_spec} (the input
+    of {!Pmdp_codegen.C_emit.emit_kernels}), which validate on entry —
+    refuses illegal or racy schedules. *)
 
 val check_pipeline : Pmdp_dsl.Pipeline.t -> Diagnostic.t list
 val check_schedule : Pmdp_core.Schedule_spec.t -> Diagnostic.t list

@@ -42,9 +42,9 @@ let apps = [| "blur"; "unsharp" |]
 let seeds = 2
 let scale = 32
 
-(* Frame-fault positions start past the six client hellos so the
-   chaos lands on submit replies; every other class fires at its
-   first opportunities.  One schedule, shared by the server, the
+(* Frame-fault positions count reply frames, and under load every
+   reply is a submit reply; every other class fires at its first
+   opportunities.  One schedule, shared by the server, the
    shard dispatchers, the pool, and the disk cache. *)
 let fault_spec =
   "drop@12,truncate@33,garbage@54,fdelay@75:0.05,drop@96,truncate@117,garbage@138,"

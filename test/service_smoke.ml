@@ -3,8 +3,8 @@
    Starts a real 2-shard server on the chosen endpoint, drives it with
    the load generator (100 requests, two pipelines, four clients), and
    checks the acceptance properties — everything succeeds, the warm
-   cache skips compiles, percentiles are populated, the protocol
-   handshake negotiates v3, results are bitwise-equal to the
+   cache skips compiles, percentiles are populated, an unknown
+   operation gets a typed error, results are bitwise-equal to the
    reference, and shutdown is clean.  Then, in process: mixed-seed
    load still batches (same-fingerprint requests coalesce on one
    shard), and a service restarted on a warm --cache-dir serves its
@@ -47,8 +47,8 @@ let rm_rf dir =
     try Unix.rmdir dir with Unix.Unix_error _ -> ()
   end
 
-(* One raw frame round trip on a fresh connection (no Client, no
-   handshake) — for poking at the protocol below the codec layer. *)
+(* One raw frame round trip on a fresh connection (no Client) — for
+   poking at the protocol below the codec layer. *)
 let raw_round_trip endpoint req =
   let fd = Transport.connect endpoint in
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -128,9 +128,9 @@ let () =
     (Array.fold_left (fun acc c -> acc + c.Service.completed) 0 stats.Service.shards
     = total.Service.completed);
 
-  (* One direct round trip over the wire: the handshake negotiated v3,
-     validation ran (the service was created with ~validate:true), and
-     the tiled results are bitwise-equal to the reference executor. *)
+  (* One direct round trip over the wire: validation ran (the service
+     was created with ~validate:true), and the tiled results are
+     bitwise-equal to the reference executor. *)
   let client =
     match Client.connect ~endpoint () with
     | Ok c -> c
@@ -138,10 +138,6 @@ let () =
         Printf.printf "service smoke: connect failed: %s\n%!" (Pmdp_error.to_string e);
         exit 1
   in
-  checkf "handshake negotiates the protocol"
-    (fun p -> Printf.sprintf "v%d" p)
-    (Client.proto client)
-    (Client.proto client = Protocol.proto_version);
   (match Client.submit client (Service.request ~scale:32 "blur") with
   | Error e -> check (Printf.sprintf "direct submit (%s)" (Pmdp_error.to_string e)) false
   | Ok r ->
@@ -153,32 +149,18 @@ let () =
         (r.Client.max_abs_diff = Some 0.0);
       check "outputs carry checksums" (r.Client.outputs <> []));
 
-  (* Below the codec: a connection that never says hello is spoken to
-     in v1; an over-eager hello is pinned down to our version; unknown
-     operations name the negotiated dialect. *)
+  (* Below the codec: an unknown operation gets a typed error naming
+     it. *)
   (match raw_round_trip endpoint (Json.Obj [ ("op", Json.String "martian") ]) with
   | Some reply ->
-      check "unknown op before hello names protocol v1"
-        (contains ~needle:"protocol v1" (Json.to_string reply))
-  | None -> check "unknown op before hello answered" false);
-  (let fd = Transport.connect endpoint in
-   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-   @@ fun () ->
-   Protocol.write_frame fd (Protocol.json_of_hello 99);
-   (match Protocol.read_frame fd with
-   | Some reply ->
-       check "hello 99 pinned to our version"
-         (Option.bind (Json.member "proto" reply) Json.to_int_opt
-         = Some Protocol.proto_version)
-   | None -> check "hello answered" false);
-   Protocol.write_frame fd (Json.Obj [ ("op", Json.String "martian") ]);
-   match Protocol.read_frame fd with
-   | Some reply ->
-       check "unknown op after hello names protocol v3"
-         (contains ~needle:"protocol v3" (Json.to_string reply))
-   | None -> check "unknown op after hello answered" false);
+      checkf "unknown op gets a typed error" Json.to_string reply
+        (Option.bind (Json.member "ok" reply) Json.to_bool_opt = Some false
+        && (match Option.map Protocol.error_of_json (Json.member "error" reply) with
+           | Some (Pmdp_error.Plan_invalid { reason; _ }) -> contains ~needle:"\"martian\"" reason
+           | _ -> false))
+  | None -> check "unknown op answered" false);
 
-  (* The v3 health op over the wire: every shard alive, nothing
+  (* The health op over the wire: every shard alive, nothing
      draining, no open circuits on a healthy server. *)
   (match Client.health client with
   | Error e -> check (Printf.sprintf "wire health (%s)" (Pmdp_error.to_string e)) false

@@ -1,5 +1,5 @@
-(* Tests for the C++/OpenMP emitter, including a compile check with
-   the system g++ when one is available. *)
+(* Tests for the C/OpenMP kernel emitter, including a compile check
+   with the system g++ when one is available. *)
 
 module C_emit = Pmdp_codegen.C_emit
 module Schedule_spec = Pmdp_core.Schedule_spec
@@ -13,57 +13,51 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+let kernels (sched : Schedule_spec.t) =
+  C_emit.emit_kernels sched.Schedule_spec.pipeline (Pmdp_plan.of_spec sched)
+
 let blur_code () =
   let p = Pmdp_apps.Blur.build ~rows:62 ~cols:64 () in
-  let sched = fst (Schedule_spec.dp config p) in
-  (p, C_emit.emit sched)
+  kernels (fst (Schedule_spec.dp config p))
 
 let test_structure () =
-  let _, code = blur_code () in
+  let code = blur_code () in
   List.iter
     (fun marker ->
       Alcotest.(check bool) ("contains " ^ marker) true (contains code marker))
     [
-      "#pragma omp parallel for schedule(static)";
+      "#pragma omp parallel num_threads(n_threads)";
+      "#pragma omp for schedule(static)";
       "#pragma ivdep";
       "tile of function blurx";
       "tile of function blury";
-      "float scr_blurx";
-      "static float buf_blury";
-      "void pipeline_blur(const float *buf_img)";
+      "double *scr_blurx = (double *) malloc(";
+      "void pmdp_kernel_group_0(double **bufs, int n_threads)";
+      "const double *buf_img = bufs[0];";
+      "double *buf_blury = bufs[1];";
       "CLAMPI";
     ]
 
 let test_liveouts_copy_out () =
-  let _, code = blur_code () in
+  let code = blur_code () in
   (* live-outs compute into scratch and copy their exact tile part *)
-  Alcotest.(check bool) "blury scratch exists" true (contains code "float scr_blury[");
+  Alcotest.(check bool) "blury scratch exists" true (contains code "double *scr_blury =");
   Alcotest.(check bool) "copy-out loop" true (contains code "copy exact tile of blury")
 
 let test_unfused_schedule_code () =
   let p = Pmdp_apps.Blur.build ~rows:32 ~cols:32 () in
   let sched = Schedule_spec.with_tiles p [ ([ 0 ], [| 3; 16; 16 |]); ([ 1 ], [| 3; 16; 16 |]) ] in
-  let code = C_emit.emit sched in
-  (* both stages become live-outs with full buffers *)
-  Alcotest.(check bool) "blurx full buffer" true (contains code "static float buf_blurx");
-  Alcotest.(check bool) "blury full buffer" true (contains code "static float buf_blury")
+  let code = kernels sched in
+  (* both stages become live-outs with buffer slots, one function each *)
+  Alcotest.(check bool) "blurx buffer slot" true (contains code "double *buf_blurx = bufs[1];");
+  Alcotest.(check bool) "blury buffer slot" true (contains code "double *buf_blury = bufs[2];");
+  Alcotest.(check bool) "second group function" true
+    (contains code "void pmdp_kernel_group_1(double **bufs, int n_threads)")
 
 let test_reduction_codegen () =
   let p = Pmdp_apps.Bilateral_grid.build ~scale:32 () in
-  let sched = fst (Schedule_spec.dp config p) in
-  let code = C_emit.emit sched in
+  let code = kernels (fst (Schedule_spec.dp config p)) in
   Alcotest.(check bool) "accumulator loop" true (contains code "acc +=")
-
-let test_emit_to_file () =
-  let p = Pmdp_apps.Blur.build ~rows:32 ~cols:32 () in
-  let sched = fst (Schedule_spec.dp config p) in
-  let path = Filename.temp_file "pmdp_test" ".cpp" in
-  C_emit.emit_to_file sched path;
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  close_in ic;
-  Sys.remove path;
-  Alcotest.(check bool) "file written" true (len > 500)
 
 let gpp_available () = Sys.command "which g++ > /dev/null 2>&1" = 0
 
@@ -92,7 +86,7 @@ let test_gpp_compiles_all_apps () =
           end
           else fst (Schedule_spec.dp config p)
         in
-        let code = C_emit.emit sched in
+        let code = kernels sched in
         Alcotest.(check bool)
           (app.Pmdp_apps.Registry.name ^ " compiles with g++")
           true
@@ -108,7 +102,6 @@ let () =
           Alcotest.test_case "live-out copy-out" `Quick test_liveouts_copy_out;
           Alcotest.test_case "unfused schedule" `Quick test_unfused_schedule_code;
           Alcotest.test_case "reduction" `Quick test_reduction_codegen;
-          Alcotest.test_case "emit to file" `Quick test_emit_to_file;
           Alcotest.test_case "g++ compiles all apps" `Slow test_gpp_compiles_all_apps;
         ] );
     ]

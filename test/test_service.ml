@@ -232,7 +232,7 @@ let test_transport_endpoint_parse () =
   parses "unix:///run/pmdp.sock" (Transport.Uds "/run/pmdp.sock");
   parses "tcp://127.0.0.1:9900" (Transport.Tcp ("127.0.0.1", 9900));
   parses "tcp://localhost:0" (Transport.Tcp ("localhost", 0));
-  (* a bare path is the pre-endpoint --socket spelling *)
+  (* a bare path is a Unix-domain socket *)
   parses "/tmp/pmdp.sock" (Transport.Uds "/tmp/pmdp.sock");
   List.iter
     (fun e ->
@@ -926,6 +926,32 @@ let test_service_quarantine_recovery () =
   | Ok r -> Alcotest.(check bool) "served warm after repair" true r.Service.cache_hit
   | Error e -> Alcotest.failf "warm submit failed: %s" (Pmdp_error.to_string e)
 
+(* A full disk never fails a request: the store's temp path is a
+   symlink to /dev/full, so the envelope write hits ENOSPC on its last
+   flush.  The failure is counted, the first submit is answered, and a
+   second submit for the same plan is too (the plan-cache slot is not
+   left Building). *)
+let test_service_full_disk () =
+  if Sys.file_exists "/dev/full" then begin
+    let dir = temp_dir "pmdp-full" in
+    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+    let fp = Plan_cache.fingerprint ~app:"blur" ~scale:32 ~scheduler:Scheduler.Dp ~machine:xeon in
+    Unix.symlink "/dev/full"
+      (Printf.sprintf "%s.tmp.%d" (Filename.concat dir (fp ^ ".json")) (Unix.getpid ()));
+    with_service ~cache_dir:dir (fun service ->
+        List.iter
+          (fun label ->
+            match Service.submit service (Service.request ~scale:32 "blur") with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "%s submit on a full disk: %s" label (Pmdp_error.to_string e))
+          [ "first"; "second" ];
+        match (Service.stats service).Service.disk with
+        | Some d ->
+            Alcotest.(check int) "failed write counted" 1 d.Disk_cache.store_failures;
+            Alcotest.(check int) "nothing stored" 0 d.Disk_cache.stores
+        | None -> Alcotest.fail "disk stats missing")
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Protocol codecs *)
 
@@ -1261,6 +1287,7 @@ let () =
           Alcotest.test_case "drain timeout is retryable" `Quick
             test_service_drain_timeout_retryable;
           Alcotest.test_case "quarantine recovery" `Quick test_service_quarantine_recovery;
+          Alcotest.test_case "full disk never fails a request" `Quick test_service_full_disk;
         ] );
       ( "protocol",
         [
