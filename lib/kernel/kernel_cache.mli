@@ -6,14 +6,15 @@
     [<kernel_digest>.json] (provenance: pipeline name, plan digest,
     emitter ABI, compiler line, and the validation verdict the kernel
     was admitted under), plus an MD5 of the shared object.  {!load}
-    refuses — and quarantines to [.bad], the same convention as
-    {!Pmdp_service.Disk_cache} — entries whose checksum, ABI, or
+    refuses — and quarantines — entries whose checksum, ABI, or
     metadata do not hold up, so a tampered or stale object is
     recompiled, never [dlopen]ed.
 
-    Writes are atomic (temp file + rename, [.so] before metadata) and
-    best-effort: a full or read-only disk degrades the cache to a
-    no-op, counted in {!stats}, never failing a request. *)
+    This module owns the metadata format and those checks; the bytes
+    on disk are {!Pmdp_runtime.Store}'s job: atomic writes ([.so]
+    before metadata), failed writes counted and never raised (a full
+    or read-only disk degrades the cache to a no-op), and quarantine
+    to [<kernel_digest>.so.bad] and [<kernel_digest>.json.bad]. *)
 
 type t
 
@@ -28,22 +29,15 @@ type meta = {
   max_abs_diff : float;  (** worst |native - reference| at admission *)
 }
 
-val default_dir : unit -> string
-(** [$XDG_CACHE_HOME/pmdp/kernels], falling back to
-    [~/.cache/pmdp/kernels] (or a temp-dir-rooted path when even
-    [$HOME] is unset). *)
-
 val create : dir:string -> unit -> t
-(** Create [dir] (and parents) if needed.
+(** Open the store in [dir] ({!Pmdp_runtime.Store.create}).
     @raise Invalid_argument when [dir] exists but is not a directory.
     @raise Unix.Unix_error when it cannot be created. *)
 
-val dir : t -> string
-
 val store : t -> kernel_digest:string -> meta -> so_src:string -> unit
 (** Copy the compiled object at [so_src] into the cache and write its
-    metadata beside it, both atomically.  Failures are swallowed (and
-    counted) — persistence is an optimization. *)
+    metadata beside it with {!Pmdp_runtime.Store.put}.  A failed write
+    is counted, never raised — persistence is an optimization. *)
 
 val load : t -> kernel_digest:string -> abi:int -> (string * meta) option
 (** The path of a verified shared object and its metadata, or [None]
@@ -56,12 +50,12 @@ val quarantine : t -> kernel_digest:string -> reason:string -> unit
 (** Rename both entry files to [.bad]: out of the lookup namespace,
     still on disk for inspection.  Best-effort, idempotent, counted. *)
 
-type stats = {
-  stores : int;  (** entries written *)
-  store_failures : int;  (** writes that failed (disk full, perms) *)
-  hits : int;  (** loads that returned a verified object *)
-  misses : int;  (** loads that found nothing usable *)
-  quarantined : int;  (** entries renamed to [.bad] *)
+type stats = Pmdp_runtime.Store.stats = {
+  stores : int;
+  store_failures : int;
+  hits : int;
+  misses : int;
+  quarantined : int;
 }
 
 val stats : t -> stats

@@ -38,12 +38,6 @@ CAMLprim value pmdp_dl_sym(value handle, value name)
   CAMLreturn(caml_copy_nativeint((intnat) s));
 }
 
-CAMLprim value pmdp_dl_close(value handle)
-{
-  dlclose((void *) Nativeint_val(handle));
-  return Val_unit;
-}
-
 /* Call void kernel(double **bufs, int n_threads) with the data
  * pointers of an array of 1-D float64 bigarrays.  The pointers are
  * collected while the runtime lock is still held; bigarray data lives

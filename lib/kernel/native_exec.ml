@@ -11,15 +11,12 @@ module Trace = Pmdp_trace.Trace
 
 external dl_open : string -> nativeint = "pmdp_dl_open"
 external dl_sym : nativeint -> string -> nativeint = "pmdp_dl_sym"
-external dl_close : nativeint -> unit = "pmdp_dl_close"
 
 external call_kernel :
   nativeint ->
   (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t array ->
   int ->
   unit = "pmdp_call_kernel"
-
-let _ = dl_close (* handles live for the process; kept for completeness *)
 
 type kernel = {
   handle : nativeint;
@@ -44,7 +41,6 @@ type t = {
   fault : Fault.t option;
   eps : float;
   march : bool;
-  keep_sources : bool;
   table : (string, kernel) Hashtbl.t;
   failed : (string, Pmdp_error.t) Hashtbl.t;
   lock : Mutex.t;
@@ -64,7 +60,6 @@ let create ?fault ?cache_dir ?cc ?(eps = 1e-6) ?(march = false) () =
     fault;
     eps;
     march;
-    keep_sources = Sys.getenv_opt "PMDP_KEEP_KERNEL_SRC" <> None;
     table = Hashtbl.create 16;
     failed = Hashtbl.create 16;
     lock = Mutex.create ();
@@ -222,34 +217,27 @@ let compile_fresh t plan ~kd ~n_groups ~slots =
       bump t (fun t -> t.compiles <- t.compiles + 1);
       let src = Filename.temp_file ("pmdp_kernel_" ^ kd) ".c" in
       let so = Filename.temp_file ("pmdp_kernel_" ^ kd) ".so" in
-      let cleanup () =
-        if not t.keep_sources then begin
-          (try Sys.remove src with Sys_error _ -> ());
-          (try Sys.remove so with Sys_error _ -> ())
-        end
-      in
-      let oc = open_out src in
-      output_string oc (C_emit.emit_kernels p ir);
-      close_out oc;
+      (* Both are scratch files, removed on every way out from the
+         first write on (a stored kernel is a copy in the cache). *)
+      Fun.protect ~finally:(fun () ->
+          List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ src; so ])
+      @@ fun () ->
+      Out_channel.with_open_text src (fun oc ->
+          output_string oc (C_emit.emit_kernels p ir);
+          close_out oc);
       match Toolchain.compile ?fault:t.fault tc ~src ~out:so with
       | Error reason ->
           bump t (fun t -> t.compile_failures <- t.compile_failures + 1);
-          cleanup ();
           Error ("compile failed: " ^ reason)
       | exception Fault.Injected reason ->
           bump t (fun t -> t.compile_failures <- t.compile_failures + 1);
-          cleanup ();
           Error reason
       | Ok () -> (
           match dlopen_kernel ~n_groups ~slots so with
-          | exception Failure reason ->
-              cleanup ();
-              Error ("dlopen failed: " ^ reason)
+          | exception Failure reason -> Error ("dlopen failed: " ^ reason)
           | kernel -> (
               match validate t kernel plan with
-              | Error reason ->
-                  cleanup ();
-                  Error reason
+              | Error reason -> Error reason
               | Ok (verdict, worst) ->
                   Option.iter
                     (fun cache ->
@@ -266,7 +254,6 @@ let compile_fresh t plan ~kd ~n_groups ~slots =
                         }
                         ~so_src:so)
                     t.cache;
-                  cleanup ();
                   Ok { kernel with validation = verdict })))
 
 let acquire t plan =

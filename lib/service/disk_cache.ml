@@ -2,7 +2,7 @@ module Json = Pmdp_report.Json
 module Scheduler = Pmdp_core.Scheduler
 module Machine = Pmdp_machine.Machine
 module Fault = Pmdp_runtime.Fault
-module Trace = Pmdp_trace.Trace
+module Store = Pmdp_runtime.Store
 
 type meta = {
   app : string;
@@ -12,7 +12,7 @@ type meta = {
   cores : int;
 }
 
-type stats = {
+type stats = Store.stats = {
   stores : int;
   store_failures : int;
   hits : int;
@@ -20,57 +20,14 @@ type stats = {
   quarantined : int;
 }
 
-type t = {
-  dir : string;
-  lock : Mutex.t;
-  fault : Fault.t option;
-  mutable stores : int;
-  mutable store_failures : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable quarantined : int;
-}
+type t = { store : Store.t; fault : Fault.t option }
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (EEXIST, _, _) -> ()
-  end
+let create ?fault ~dir () = { store = Store.create ~dir (); fault }
 
-let default_dir () =
-  let base =
-    match Sys.getenv_opt "XDG_CACHE_HOME" with
-    | Some d when d <> "" -> d
-    | _ -> (
-        match Sys.getenv_opt "HOME" with
-        | Some h when h <> "" -> Filename.concat h ".cache"
-        | _ -> Filename.concat (Filename.get_temp_dir_name ()) "pmdp-cache")
-  in
-  Filename.concat (Filename.concat base "pmdp") "plans"
-
-let create ?fault ~dir () =
-  mkdir_p dir;
-  if not (Sys.is_directory dir) then
-    invalid_arg (Printf.sprintf "Disk_cache.create: %s is not a directory" dir);
-  {
-    dir;
-    lock = Mutex.create ();
-    fault;
-    stores = 0;
-    store_failures = 0;
-    hits = 0;
-    misses = 0;
-    quarantined = 0;
-  }
-
-let dir t = t.dir
-let path t fingerprint = Filename.concat t.dir (fingerprint ^ ".json")
-let bad_path t fingerprint = Filename.concat t.dir (fingerprint ^ ".bad")
-
-let bump t f =
-  Mutex.lock t.lock;
-  f t;
-  Mutex.unlock t.lock
+(* The kernel store's metadata is <kernel_digest>.json; a suffix of
+   our own keeps the two stores' files apart in a shared directory. *)
+let suffix = ".plan"
+let file fingerprint = fingerprint ^ suffix
 
 let meta_of_request ~app ~scale ~scheduler ~(machine : Machine.t) =
   { app; scale; scheduler; machine = machine.Machine.name; cores = machine.Machine.cores }
@@ -121,46 +78,18 @@ let store t meta ~fingerprint ~(ir : Pmdp_plan.t) =
         ("plan", Pmdp_plan.to_json ir);
       ]
   in
-  let final = path t fingerprint in
-  let tmp = Printf.sprintf "%s.tmp.%d" final (Unix.getpid ()) in
-  let write () =
-    match directive with
-    | `Pass | `Corrupt -> Json.to_file tmp doc
-    | `Torn ->
-        let s = Json.to_string doc in
-        let oc = open_out_bin tmp in
-        output_string oc (String.sub s 0 (String.length s / 2));
-        close_out oc
-  in
-  match
-    write ();
-    Unix.rename tmp final
-  with
-  | () -> bump t (fun t -> t.stores <- t.stores + 1)
-  | exception (Sys_error _ | Unix.Unix_error _) ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      bump t (fun t -> t.store_failures <- t.store_failures + 1)
+  Store.put t.store
+    [
+      ( file fingerprint,
+        fun oc ->
+          match directive with
+          | `Pass | `Corrupt -> output_string oc (Json.to_string_pretty doc)
+          | `Torn ->
+              let s = Json.to_string doc in
+              output_string oc (String.sub s 0 (String.length s / 2)) );
+    ]
 
-(* Move a bad envelope out of the lookup path.  Leaving it in place
-   would re-reject it on every warm start and shadow the re-store of a
-   fresh compile; renaming to <fingerprint>.bad keeps the evidence for
-   inspection while freeing the .json slot.  Best-effort and
-   idempotent (a second quarantine of the same fingerprint finds no
-   file and counts nothing). *)
-let quarantine t ~fingerprint ~reason =
-  let file = path t fingerprint in
-  if Sys.file_exists file then begin
-    match Unix.rename file (bad_path t fingerprint) with
-    | () ->
-        bump t (fun t -> t.quarantined <- t.quarantined + 1);
-        if Trace.on () then begin
-          Trace.count "service.disk.quarantine" 1;
-          Trace.instant ~cat:"service"
-            ~args:[ ("fingerprint", Trace.Str fingerprint); ("reason", Trace.Str reason) ]
-            "service.disk.quarantine"
-        end
-    | exception Unix.Unix_error _ -> ()
-  end
+let quarantine t ~fingerprint ~reason = Store.quarantine t.store [ file fingerprint ] ~reason
 
 let parse_file file =
   match Json.of_file file with
@@ -176,50 +105,26 @@ let parse_file file =
       | _ -> Error "expected an envelope with digest, plan, and request members")
 
 let load t ~fingerprint =
-  let file = path t fingerprint in
-  if not (Sys.file_exists file) then begin
-    bump t (fun t -> t.misses <- t.misses + 1);
-    None
-  end
-  else
-    match parse_file file with
-    | Ok (ir, digest, _) ->
-        bump t (fun t -> t.hits <- t.hits + 1);
-        Some (ir, digest)
-    | Error _ ->
-        (* Unparseable is indistinguishable from absent for the caller
-           (the plan cache falls back to compiling), but the file is
-           quarantined so the next store is not shadowed by it. *)
-        quarantine t ~fingerprint ~reason:"load: unparseable envelope";
-        bump t (fun t -> t.misses <- t.misses + 1);
-        None
+  let path = Store.path t.store (file fingerprint) in
+  Store.tally t.store
+    (if not (Sys.file_exists path) then None
+     else
+       match parse_file path with
+       | Ok (ir, digest, _) -> Some (ir, digest)
+       | Error _ ->
+           (* Unparseable is indistinguishable from absent for the caller
+              (the plan cache falls back to compiling), but the file is
+              quarantined so the next store is not shadowed by it. *)
+           quarantine t ~fingerprint ~reason:"load: unparseable envelope";
+           None)
 
 let scan t =
-  match Sys.readdir t.dir with
-  | exception Sys_error _ -> []
-  | names ->
-      Array.to_list names
-      |> List.filter_map (fun name ->
-             if not (Filename.check_suffix name ".json") then None
-             else
-               let fingerprint = Filename.chop_suffix name ".json" in
-               match parse_file (Filename.concat t.dir name) with
-               | Ok (_, _, meta) -> Some (fingerprint, meta)
-               | Error _ ->
-                   quarantine t ~fingerprint ~reason:"scan: unparseable envelope";
-                   None)
-      |> List.sort compare
+  Store.list t.store ~suffix
+  |> List.filter_map (fun fingerprint ->
+         match parse_file (Store.path t.store (file fingerprint)) with
+         | Ok (_, _, meta) -> Some (fingerprint, meta)
+         | Error _ ->
+             quarantine t ~fingerprint ~reason:"scan: unparseable envelope";
+             None)
 
-let stats t =
-  Mutex.lock t.lock;
-  let s =
-    {
-      stores = t.stores;
-      store_failures = t.store_failures;
-      hits = t.hits;
-      misses = t.misses;
-      quarantined = t.quarantined;
-    }
-  in
-  Mutex.unlock t.lock;
-  s
+let stats t = Store.stats t.store

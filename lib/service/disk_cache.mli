@@ -2,22 +2,24 @@
     {!Plan_cache.fingerprint}, so a restarted server answers its first
     hot request without recompiling.
 
-    Each entry is the PR-6 plan envelope ([{schema_version, digest,
-    plan}], the format {!Pmdp_plan.read} parses) extended with a
-    ["request"] member recording the bindings — app, scale, scheduler,
-    machine name, core count — the fingerprint was computed from, so a
-    fresh process can rebuild the pipeline and admit the plan against
-    it.
+    Each entry is one file, [<fingerprint>.plan], holding the plan
+    envelope ([{schema_version, digest, plan}], the format
+    {!Pmdp_plan.read} parses) extended with a ["request"] member
+    recording the bindings — app, scale, scheduler, machine name,
+    core count — the fingerprint was computed from, so a fresh
+    process can rebuild the pipeline and admit the plan against it.
+    The suffix is the plan store's own, so a kernel store
+    ({!Pmdp_kernel.Kernel_cache}) may share the directory.
 
-    This module only moves bytes; it never instantiates a plan.  Every
-    IR read from disk goes through the {!Plan_cache} admission gate
-    (claimed digest = content digest, whole-plan static analyzer) on
-    its way into a shard's memory cache — a tampered or stale file is
-    rejected there and the plan is recompiled, never executed.
-
-    Writes are atomic (temp file + rename) and best-effort: a full or
-    read-only disk degrades the cache to a no-op (counted in
-    {!stats}), it never fails a request. *)
+    This module owns the envelope format and nothing else: the bytes
+    on disk — atomic writes, failed writes, [.bad] quarantine, the
+    counters — are {!Pmdp_runtime.Store}'s job, and {!Plan_cache}
+    decides when a plan is loaded, stored or quarantined.  It never
+    instantiates a plan: every IR read from disk goes through the
+    {!Plan_cache} admission gate (claimed digest = content digest,
+    whole-plan static analyzer) on its way into a shard's memory
+    cache, so a tampered or stale file is rejected and recompiled,
+    never executed. *)
 
 type t
 
@@ -30,20 +32,14 @@ type meta = {
 }
 (** The plan-relevant request bindings stored beside the IR. *)
 
-val default_dir : unit -> string
-(** [$XDG_CACHE_HOME/pmdp/plans], falling back to [~/.cache/pmdp/plans]
-    (or a temp-dir-rooted path when even [$HOME] is unset). *)
-
 val create : ?fault:Pmdp_runtime.Fault.t -> dir:string -> unit -> t
-(** Create [dir] (and parents) if needed.  [fault] enables chaos
-    injection at stores: a firing [Torn_write] persists only a prefix
-    of the envelope, a [Corrupt_write] persists well-formed JSON with
-    a wrong claimed digest — the two silent disk-failure modes the
-    quarantine machinery must recover from.
+(** Open the store in [dir] ({!Pmdp_runtime.Store.create}).  [fault]
+    enables chaos injection at stores: a firing [Torn_write] persists
+    only a prefix of the envelope, a [Corrupt_write] persists
+    well-formed JSON with a wrong claimed digest — the two silent
+    disk-failure modes the quarantine machinery must recover from.
     @raise Invalid_argument when [dir] exists but is not a directory.
     @raise Unix.Unix_error when it cannot be created. *)
-
-val dir : t -> string
 
 val meta_of_request :
   app:string ->
@@ -53,14 +49,13 @@ val meta_of_request :
   meta
 
 val store : t -> meta -> fingerprint:string -> ir:Pmdp_plan.t -> unit
-(** Write the envelope to [<dir>/<fingerprint>.json] atomically.
-    Failures are swallowed (and counted) — persistence is an
-    optimization, not a correctness requirement. *)
+(** Write the envelope to [<dir>/<fingerprint>.plan] with
+    {!Pmdp_runtime.Store.put}.  A failed write is counted, never
+    raised — persistence is an optimization. *)
 
 val load : t -> fingerprint:string -> (Pmdp_plan.t * string) option
-(** The stored IR and the digest the file {e claims} — exactly the
-    shape {!Plan_cache.get}'s [?load] hook wants.  [None] when the
-    file is absent or unparseable (the caller compiles instead);
+(** The stored IR and the digest the file {e claims}.  [None] when
+    the file is absent or unparseable (the caller compiles instead);
     an unparseable file is quarantined on the way.  Digest
     verification is the admission gate's job, not this module's. *)
 
@@ -71,19 +66,18 @@ val scan : t -> (string * meta) list
     instead of silently skipped. *)
 
 val quarantine : t -> fingerprint:string -> reason:string -> unit
-(** Rename [<fingerprint>.json] to [<fingerprint>.bad]: the envelope
-    stops shadowing future stores and warm loads but stays on disk
-    for inspection.  Called internally for unparseable files; callers
-    ({!Service}'s warm load, {!Plan_cache.get}'s rejection hook) call
-    it for envelopes that parse but fail admission.  Best-effort,
-    idempotent, counted in {!stats}. *)
+(** Rename [<fingerprint>.plan] to [<fingerprint>.plan.bad]: the
+    envelope stops shadowing future stores and warm loads but stays
+    on disk for inspection.  Called internally for unparseable files;
+    {!Plan_cache} calls it for envelopes that parse but fail
+    admission.  Best-effort, idempotent, counted in {!stats}. *)
 
-type stats = {
-  stores : int;  (** envelopes written *)
-  store_failures : int;  (** writes that failed (disk full, perms) *)
-  hits : int;  (** loads that found a parseable envelope *)
-  misses : int;  (** loads that found nothing usable *)
-  quarantined : int;  (** envelopes renamed to [.bad] *)
+type stats = Pmdp_runtime.Store.stats = {
+  stores : int;
+  store_failures : int;
+  hits : int;
+  misses : int;
+  quarantined : int;
 }
 
 val stats : t -> stats

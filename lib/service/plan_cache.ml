@@ -15,10 +15,13 @@ type entry = {
 }
 
 (* [Building] is claimed by exactly one requester; everyone else for
-   the same key waits on [built] until the slot becomes [Ready]. *)
-type slot = Building | Ready of (entry, Pmdp_error.t) result
+   the same key waits on [built] until the slot becomes [Ready].  A
+   ready slot keeps the request bindings it was built for, which is
+   what a persisted envelope records. *)
+type slot = Building | Ready of Disk_cache.meta * (entry, Pmdp_error.t) result
 
 type t = {
+  disk : Disk_cache.t option;
   lock : Mutex.t;
   built : Condition.t;
   table : (string, slot) Hashtbl.t;
@@ -38,8 +41,9 @@ type stats = {
   entries : int;
 }
 
-let create () =
+let create ?disk () =
   {
+    disk;
     lock = Mutex.create ();
     built = Condition.create ();
     table = Hashtbl.create 32;
@@ -115,12 +119,30 @@ let admit_loaded ~fp ~(app : Registry.app) ~pipeline ~scheduler ~ir ~digest =
 
 let load ~pipeline ~ir ~digest = admit_ir ~pipeline ~ir ~digest
 
-let get t ?load ?store ?quarantine ?calib ~(app : Registry.app) ~scale ~scheduler ~machine () =
+let persist t meta ~fingerprint ~ir =
+  Option.iter (fun d -> Disk_cache.store d meta ~fingerprint ~ir) t.disk
+
+(* The persisted plan for [fp] through the gate: [None] when the disk
+   holds nothing usable, [Some (Error _)] when it held a plan the gate
+   refused — quarantined so it stops shadowing the re-store. *)
+let load_persisted t ~fp ~app ~pipeline ~scheduler =
+  match t.disk with
+  | None -> None
+  | Some d ->
+      Option.map
+        (fun (ir, digest) ->
+          let r = admit_loaded ~fp ~app ~pipeline ~scheduler ~ir ~digest in
+          if Result.is_error r then
+            Disk_cache.quarantine d ~fingerprint:fp ~reason:"plan cache rejected the envelope";
+          r)
+        (Disk_cache.load d ~fingerprint:fp)
+
+let get t ?calib ~(app : Registry.app) ~scale ~scheduler ~machine () =
   let fp = fingerprint ~app:app.Registry.name ~scale ~scheduler ~machine in
   Mutex.lock t.lock;
   let rec obtain () =
     match Hashtbl.find_opt t.table fp with
-    | Some (Ready r) ->
+    | Some (Ready (_, r)) ->
         t.hits <- t.hits + 1;
         Mutex.unlock t.lock;
         if Trace.on () then Trace.count "service.cache.hit" 1;
@@ -133,95 +155,79 @@ let get t ?load ?store ?quarantine ?calib ~(app : Registry.app) ~scale ~schedule
         Hashtbl.replace t.table fp Building;
         Mutex.unlock t.lock;
         if Trace.on () then Trace.count "service.cache.miss" 1;
-        (* Outside the lock: try the external source first (a plan that
+        (* Outside the lock: try the persisted plan first (one that
            passes the gate skips scheduling entirely), fall back to a
-           compile — which is offered back to the source via [store]. *)
+           compile — which is persisted in turn. *)
+        let meta = Disk_cache.meta_of_request ~app:app.Registry.name ~scale ~scheduler ~machine in
         let outcome, rejected, r =
           match build_pipeline app ~scale with
           | Error e -> (`Miss, false, Error e)
           | Ok pipeline -> (
-              let loaded, rejected =
-                match load with
-                | None -> (None, false)
-                | Some f -> (
-                    match f () with
-                    | None -> (None, false)
-                    | Some (ir, digest) -> (
-                        match admit_loaded ~fp ~app ~pipeline ~scheduler ~ir ~digest with
-                        | Ok e -> (Some e, false)
-                        | Error _ ->
-                            (* The source handed us a bad envelope:
-                               tell it (the disk cache quarantines the
-                               file) and compile instead. *)
-                            Option.iter (fun q -> q ()) quarantine;
-                            (None, true)))
-              in
-              match loaded with
-              | Some e -> (`Loaded, rejected, Ok e)
-              | None ->
+              match load_persisted t ~fp ~app ~pipeline ~scheduler with
+              | Some (Ok e) -> (`Loaded, false, Ok e)
+              | loaded ->
                   let r = compile ?calib ~fp ~app ~pipeline ~scheduler ~machine () in
-                  (match (r, store) with
-                  | Ok e, Some put -> put ~ir:e.ir ~digest:e.digest
-                  | _ -> ());
-                  (`Miss, rejected, r))
+                  Result.iter (fun e -> persist t meta ~fingerprint:fp ~ir:e.ir) r;
+                  (`Miss, Option.is_some loaded, r))
         in
         Mutex.lock t.lock;
         (match outcome with
         | `Loaded -> t.loads <- t.loads + 1
         | `Miss -> t.compiles <- t.compiles + 1);
         if rejected then t.load_rejects <- t.load_rejects + 1;
-        Hashtbl.replace t.table fp (Ready r);
+        Hashtbl.replace t.table fp (Ready (meta, r));
         Condition.broadcast t.built;
         Mutex.unlock t.lock;
         Result.map (fun e -> (e, (outcome :> [ `Hit | `Miss | `Loaded ]))) r
   in
   obtain ()
 
-let preload t ~(app : Registry.app) ~scale ~scheduler ~machine ~ir ~digest =
+let preload t ~(app : Registry.app) ~scale ~scheduler ~machine =
+  let meta = Disk_cache.meta_of_request ~app:app.Registry.name ~scale ~scheduler ~machine in
   let fp = fingerprint ~app:app.Registry.name ~scale ~scheduler ~machine in
   Mutex.lock t.lock;
-  match Hashtbl.find_opt t.table fp with
-  | Some _ ->
-      Mutex.unlock t.lock;
-      Ok ()
-  | None -> (
-      Hashtbl.replace t.table fp Building;
-      Mutex.unlock t.lock;
-      let r =
-        match build_pipeline app ~scale with
-        | Error e -> Error e
-        | Ok pipeline -> admit_loaded ~fp ~app ~pipeline ~scheduler ~ir ~digest
-      in
-      Mutex.lock t.lock;
-      (match r with
-      | Ok entry ->
-          t.loads <- t.loads + 1;
-          Hashtbl.replace t.table fp (Ready (Ok entry))
-      | Error _ ->
-          (* A rejected warm-load must not poison the slot: leave it
-             empty so the first request compiles fresh. *)
-          t.load_rejects <- t.load_rejects + 1;
-          Hashtbl.remove t.table fp);
-      Condition.broadcast t.built;
-      Mutex.unlock t.lock;
-      Result.map (fun _ -> ()) r)
+  if Hashtbl.mem t.table fp then Mutex.unlock t.lock
+  else begin
+    Hashtbl.replace t.table fp Building;
+    Mutex.unlock t.lock;
+    let r =
+      match build_pipeline app ~scale with
+      | Error e -> Some (Error e)
+      | Ok pipeline -> load_persisted t ~fp ~app ~pipeline ~scheduler
+    in
+    Mutex.lock t.lock;
+    (* A rejected warm-load must not poison the slot: leave it empty
+       so the first request compiles fresh. *)
+    (match r with
+    | Some (Ok entry) ->
+        t.loads <- t.loads + 1;
+        Hashtbl.replace t.table fp (Ready (meta, Ok entry))
+    | Some (Error _) ->
+        t.load_rejects <- t.load_rejects + 1;
+        Hashtbl.remove t.table fp
+    | None -> Hashtbl.remove t.table fp);
+    Condition.broadcast t.built;
+    Mutex.unlock t.lock
+  end
 
 (* Atomically replace a Ready slot — the online retuner's swap.  Only
    an existing, successfully built entry may be replaced (a Building
    slot has a requester waiting on it; an absent one means the
    fingerprint was never served here), so a racing eviction or a
-   late-arriving tuner loses cleanly. *)
+   late-arriving tuner loses cleanly.  A swapped plan is persisted
+   under the bindings its slot recorded, so it survives a restart. *)
 let swap t ~fingerprint ~entry =
   Mutex.lock t.lock;
   let swapped =
     match Hashtbl.find_opt t.table fingerprint with
-    | Some (Ready (Ok _)) ->
-        Hashtbl.replace t.table fingerprint (Ready (Ok entry));
-        true
-    | _ -> false
+    | Some (Ready (meta, Ok _)) ->
+        Hashtbl.replace t.table fingerprint (Ready (meta, Ok entry));
+        Some meta
+    | _ -> None
   in
   Mutex.unlock t.lock;
-  swapped
+  Option.iter (fun meta -> persist t meta ~fingerprint ~ir:entry.ir) swapped;
+  swapped <> None
 
 let stats t =
   Mutex.lock t.lock;

@@ -17,11 +17,12 @@
     schedule fails the same way), so the one-compile-per-key
     invariant holds unconditionally.
 
-    External plan sources: {!get} accepts optional [load]/[store]
-    hooks so a persistent store (see {!Disk_cache}) can supply a
-    previously compiled IR — admitted through the same gate as every
-    other path into a slot — and receive freshly compiled ones, and
-    {!preload} warm-loads a plan eagerly at startup.
+    Persistence: a cache created with a {!Disk_cache} owns when plans
+    reach and leave it.  A miss first tries the persisted plan —
+    admitted through the same gate as every other path into a slot —
+    and persists a fresh compile; a persisted plan the gate refuses
+    is quarantined; {!preload} warm-loads a persisted plan eagerly at
+    startup; {!swap} persists the retuner's winner.
 
     Observability: hits and misses are recorded as the
     [service.cache.hit] / [service.cache.miss] trace counters
@@ -43,7 +44,8 @@ type entry = {
 
 type t
 
-val create : unit -> t
+val create : ?disk:Disk_cache.t -> unit -> t
+(** An empty cache; [disk] (default none) is where its plans persist. *)
 
 val fingerprint :
   app:string ->
@@ -58,9 +60,6 @@ val fingerprint :
 
 val get :
   t ->
-  ?load:(unit -> (Pmdp_plan.t * string) option) ->
-  ?store:(ir:Pmdp_plan.t -> digest:string -> unit) ->
-  ?quarantine:(unit -> unit) ->
   ?calib:Pmdp_core.Cost_model.calibration ->
   app:Pmdp_apps.Registry.app ->
   scale:int ->
@@ -72,13 +71,12 @@ val get :
     compiling it (once, whatever the concurrency) on first use.
     [`Hit] is a ready slot (including waiters that blocked on an
     in-flight build).  The one requester per key that finds the slot
-    empty first consults [load] (if given): an IR it returns that
-    passes the admission gate becomes the entry with outcome
-    [`Loaded] — no compilation; one that fails the gate is counted as
-    a load reject, reported to [quarantine] (so the source can move
-    the bad envelope aside), and discarded.  Otherwise the requester
-    compiles
-    ([`Miss]) and, on success, offers the fresh IR to [store].
+    empty first consults the cache's {!Disk_cache} (if any): a
+    persisted IR that passes the admission gate becomes the entry with
+    outcome [`Loaded] — no compilation; one that fails the gate is
+    counted as a load reject, quarantined, and discarded.  Otherwise
+    the requester compiles ([`Miss]) and, on success, persists the
+    fresh IR.
     [calib] threads fitted cost-model weights into the scheduling
     config ({!Pmdp_core.Cost_model.config_of_machine}); it does not
     enter the fingerprint — a server runs one calibration
@@ -96,16 +94,14 @@ val preload :
   scale:int ->
   scheduler:Pmdp_core.Scheduler.t ->
   machine:Pmdp_machine.Machine.t ->
-  ir:Pmdp_plan.t ->
-  digest:string ->
-  (unit, Pmdp_util.Pmdp_error.t) result
-(** Eagerly admit an externally supplied IR into the slot for these
-    bindings (startup warm-load).  The full gate applies.  A rejection
-    — tampered digest, analyzer failure — leaves the slot {e empty},
-    not poisoned: the first real request recompiles from scratch.
-    An already-occupied slot is left alone ([Ok ()]).  Does not count
-    as a hit or miss; successes count in [loads], rejections in
-    [load_rejects]. *)
+  unit
+(** Eagerly admit the persisted plan for these bindings into its slot
+    (startup warm-load).  The full gate applies.  A rejection —
+    tampered digest, analyzer failure — quarantines the envelope and
+    leaves the slot {e empty}, not poisoned: the first real request
+    recompiles from scratch.  An already-occupied slot, or a cache
+    without a disk, is left alone.  Does not count as a hit or miss;
+    successes count in [loads], rejections in [load_rejects]. *)
 
 val load :
   pipeline:Pmdp_dsl.Pipeline.t ->
@@ -123,19 +119,21 @@ val load :
 
 val swap : t -> fingerprint:string -> entry:entry -> bool
 (** Atomically replace the Ready entry for [fingerprint] — the online
-    retuner's commit.  [false] (and no change) unless the slot
-    currently holds a successfully built entry: a Building slot has a
-    requester waiting on it and an absent slot was never served here,
-    so a late-arriving tuner loses cleanly.  The caller is responsible
-    for having passed the new entry's IR through the same admission
-    gate as every other path ({!load}). *)
+    retuner's commit — and persist the new IR under the request
+    bindings the slot recorded, so the swap survives a restart.
+    [false] (and no change) unless the slot currently holds a
+    successfully built entry: a Building slot has a requester waiting
+    on it and an absent slot was never served here, so a
+    late-arriving tuner loses cleanly.  The caller is responsible for
+    having passed the new entry's IR through the same admission gate
+    as every other path ({!load}). *)
 
 type stats = {
   hits : int;  (** requests served from a ready slot (incl. waiters) *)
   misses : int;  (** requests that claimed an empty slot *)
   compiles : int;  (** compilations actually executed *)
-  loads : int;  (** entries admitted from an external source *)
-  load_rejects : int;  (** external IRs that failed the admission gate *)
+  loads : int;  (** entries admitted from the disk cache *)
+  load_rejects : int;  (** persisted IRs that failed the admission gate *)
   entries : int;  (** ready slots currently cached *)
 }
 

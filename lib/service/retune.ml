@@ -1,6 +1,5 @@
 module Machine = Pmdp_machine.Machine
 module Registry = Pmdp_apps.Registry
-module Scheduler = Pmdp_core.Scheduler
 module Cost_model = Pmdp_core.Cost_model
 module Tiled_exec = Pmdp_exec.Tiled_exec
 module Resilient = Pmdp_exec.Resilient
@@ -12,10 +11,8 @@ module Search = Pmdp_tune.Search
    shard dispatchers, a background tuner thread that searches for
    better tiles under the (calibrated) cost model, and a guarded A/B
    gate so a cached plan is only ever swapped for a candidate that
-   measurably wins.  The tuner never touches a plan cache directly —
-   the service supplies the commit callback (Plan_cache.swap plus the
-   disk-cache write-back), so every swap goes through the same
-   admission-gated path as any other entry. *)
+   measurably wins.  A winner is committed with Plan_cache.swap on the
+   owning shard's cache, which also persists it. *)
 
 type config = {
   hot_threshold : int;
@@ -32,8 +29,6 @@ let default_config =
 type job = {
   fingerprint : string;
   app : Registry.app;
-  scale : int;
-  scheduler : Scheduler.t;
   input_seed : int;
   cache : Plan_cache.t;
   entry : Plan_cache.entry;
@@ -57,7 +52,6 @@ type t = {
   config : config;
   machine : Machine.t;
   calib : Cost_model.calibration option;
-  commit : job -> Plan_cache.entry -> bool;
   lock : Mutex.t;
   work_ready : Condition.t;
   states : (string, fp_state) Hashtbl.t;
@@ -121,8 +115,7 @@ let lose t =
 (* One retune attempt: propose tiles (model-guided search, or the test
    hook), retile the IR, pass it through the full admission gate, then
    A/B both plans on the request's own inputs.  The swap happens only
-   when the candidate beats the incumbent by the configured margin —
-   and only through the service's commit callback. *)
+   when the candidate beats the incumbent by the configured margin. *)
 let process t (j : job) =
   Mutex.lock t.lock;
   t.started <- t.started + 1;
@@ -177,7 +170,7 @@ let process t (j : job) =
                       digest;
                     }
                   in
-                  if t.commit j entry then begin
+                  if Plan_cache.swap j.cache ~fingerprint:j.fingerprint ~entry then begin
                     Mutex.lock t.lock;
                     t.swaps <- t.swaps + 1;
                     Mutex.unlock t.lock;
@@ -206,7 +199,7 @@ let run_tuner t =
     end
   done
 
-let create ?calib ~config ~machine ~commit () =
+let create ?calib ~config ~machine () =
   if config.hot_threshold < 1 then invalid_arg "Retune.create: hot_threshold < 1";
   if config.ab_reps < 1 then invalid_arg "Retune.create: ab_reps < 1";
   if config.budget < 1 then invalid_arg "Retune.create: budget < 1";
@@ -217,7 +210,6 @@ let create ?calib ~config ~machine ~commit () =
       config;
       machine;
       calib;
-      commit;
       lock = Mutex.create ();
       work_ready = Condition.create ();
       states = Hashtbl.create 16;

@@ -18,9 +18,9 @@
       execute [ab_reps] times on the request's own inputs, and the
       candidate wins only when its median wall beats the incumbent's
       by at least [margin];
-    + on a win, hands the new entry to the service's [commit]
-      callback ({!Plan_cache.swap} + disk-cache write-back).  The
-      swap is atomic and only replaces a Ready slot.
+    + on a win, commits the new entry with {!Plan_cache.swap} on the
+      owning shard's cache, which persists it to the disk cache (if
+      any).  The swap is atomic and only replaces a Ready slot.
 
     Lifecycle counters ([service.retune.start] / [.win] / [.lose] /
     [.swap] trace counters, mirrored in {!counters}) make the
@@ -47,8 +47,6 @@ val default_config : config
 type job = {
   fingerprint : string;
   app : Pmdp_apps.Registry.app;
-  scale : int;
-  scheduler : Pmdp_core.Scheduler.t;
   input_seed : int;  (** the hot request's input seed — A/B runs reuse it *)
   cache : Plan_cache.t;  (** the owning shard's cache (the swap target) *)
   entry : Plan_cache.entry;  (** the incumbent at the moment it went hot *)
@@ -62,7 +60,7 @@ type counters = {
   started : int;  (** retune attempts the tuner thread began *)
   wins : int;  (** candidates that beat the incumbent by the margin *)
   losses : int;  (** attempts that kept the incumbent *)
-  swaps : int;  (** wins the commit callback actually installed *)
+  swaps : int;  (** wins {!Plan_cache.swap} actually installed *)
 }
 
 type t
@@ -71,14 +69,10 @@ val create :
   ?calib:Pmdp_core.Cost_model.calibration ->
   config:config ->
   machine:Pmdp_machine.Machine.t ->
-  commit:(job -> Plan_cache.entry -> bool) ->
   unit ->
   t
 (** Start the background tuner thread.  [calib] selects the calibrated
     cost model for the tile search ({!Pmdp_core.Cost_model.config_of_machine}).
-    [commit] installs a winning entry — the service wires it to
-    {!Plan_cache.swap} on the owning shard plus the disk-cache
-    write-back — and returns whether the swap took.
     @raise Invalid_argument on out-of-range config fields. *)
 
 val observe : t -> fingerprint:string -> wall:float -> job:(unit -> job) -> unit

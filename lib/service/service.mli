@@ -160,7 +160,8 @@ val create :
     [max_abs_diff].  [cache_dir] enables the persistent disk cache:
     plans already there are warm-loaded (through the admission gate)
     at startup, and every fresh compile is written back; envelopes the
-    gate rejects are quarantined to [<fingerprint>.bad].  [fault]
+    gate rejects are quarantined to [<fingerprint>.plan.bad].  It may
+    name the same directory as [kernel_cache_dir].  [fault]
     threads chaos injection through the whole stack: [Shard_kill]
     fires at dispatcher batch starts, [Torn_write]/[Corrupt_write] at
     disk-cache stores, and the same fault reaches
@@ -225,9 +226,6 @@ val kernel_stats : t -> Pmdp_kernel.Native_exec.stats option
 (** Native-backend ledger (compiles, validations, disk hits, runs);
     [None] unless the service was created with [~native:true] or a
     [~kernel_cache_dir]. *)
-
-val kernel_cache_stats : t -> Pmdp_kernel.Kernel_cache.stats option
-(** On-disk kernel-cache ledger; [None] without a [~kernel_cache_dir]. *)
 
 val health : t -> health
 (** Liveness snapshot: per-shard dispatcher state, queue depths,

@@ -382,8 +382,6 @@ let execute_batch t key (batch : pending list) =
           {
             Retune.fingerprint = p0.entry.Plan_cache.fingerprint;
             app = p0.app_entry;
-            scale = p0.req.scale;
-            scheduler = p0.req.scheduler;
             input_seed = p0.req.seed;
             cache = t.cache;
             entry = p0.entry;
@@ -544,14 +542,14 @@ let supervise t =
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)
 
-let create ~index ~shared ~workers ~batch_window ~queue_limit =
+let create ~index ~shared ~disk ~workers ~batch_window ~queue_limit =
   if workers < 1 then invalid_arg "Shard.create: workers < 1";
   if queue_limit < 1 then invalid_arg "Shard.create: queue_limit < 1";
   let t =
     {
       index;
       shared;
-      cache = Plan_cache.create ();
+      cache = Plan_cache.create ?disk ();
       pool = (if workers > 1 then Some (Pool.create workers) else None);
       workers;
       batch_window;

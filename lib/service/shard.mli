@@ -117,8 +117,15 @@ type counters = {
 type t
 
 val create :
-  index:int -> shared:shared -> workers:int -> batch_window:float -> queue_limit:int -> t
-(** Start the shard: private plan cache, private pool ([workers] > 1),
+  index:int ->
+  shared:shared ->
+  disk:Disk_cache.t option ->
+  workers:int ->
+  batch_window:float ->
+  queue_limit:int ->
+  t
+(** Start the shard: private plan cache persisting to [disk], private
+    pool ([workers] > 1),
     dispatcher thread running under a supervisor.  When the dispatcher
     thread dies (injected [Shard_kill], escaped execution exception),
     the supervisor settles the batch it owned with a typed retryable

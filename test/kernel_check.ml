@@ -2,7 +2,8 @@
    dlopen'ed, and executed through the native backend must match the
    reference executor bitwise (or within the epsilon gate); the
    on-disk kernel cache must serve a warm restart without recompiling,
-   quarantine a corrupted shared object and recompile around it; and a
+   quarantine a corrupted shared object and recompile around it, and
+   count a store that fails on a full disk without leaving files; and a
    host without a toolchain — or a seeded compile failure — must
    degrade every request to the interpreter, never fail it.
    Run directly or via `dune build @kernelcheck` / `dune runtest`. *)
@@ -96,7 +97,8 @@ let sweep backend =
     Registry.all
 
 (* 2/3. Cache lifecycle on one app: cold compile, warm restart served
-   from disk, corrupted object quarantined and recompiled. *)
+   from disk, corrupted object quarantined and recompiled, failed
+   store on a full disk. *)
 let cache_lifecycle () =
   Printf.printf "kernel cache lifecycle:\n%!";
   let dir = temp_dir "pmdp_kernel_check" in
@@ -153,7 +155,32 @@ let cache_lifecycle () =
     not
       (Sys.readdir dir |> Array.exists (fun f -> Filename.check_suffix f ".bad"))
   then fail "corrupt: no .bad quarantine file on disk";
-  Printf.printf "  ok   corrupted object quarantined and recompiled\n%!"
+  Printf.printf "  ok   corrupted object quarantined and recompiled\n%!";
+  (* full disk: the object's temp path in a fresh store is a symlink
+     to /dev/full, so copying it in fails.  The run still answers, the
+     failure is counted, neither entry file appears and the temp path
+     is removed. *)
+  if Sys.file_exists "/dev/full" then begin
+    let full = temp_dir "pmdp_kernel_full" in
+    let kd = Pmdp_plan.kernel_digest (Tiled_exec.ir plan) in
+    let file name = Filename.concat full name in
+    let tmp = Printf.sprintf "%s.tmp.%d" (file (kd ^ ".so")) (Unix.getpid ()) in
+    Unix.symlink "/dev/full" tmp;
+    let d = Native_exec.create ~cache_dir:full () in
+    check_run "full disk" d;
+    if (Native_exec.stats d).Native_exec.compiles <> 1 then fail "full disk: kernel not compiled";
+    (match Native_exec.cache_stats d with
+    | Some cs when cs.Kernel_cache.store_failures = 1 && cs.Kernel_cache.stores = 0 -> ()
+    | Some cs ->
+        fail "full disk: %d stores, %d store failures (want 0, 1)" cs.Kernel_cache.stores
+          cs.Kernel_cache.store_failures
+    | None -> fail "full disk: no cache stats");
+    List.iter
+      (fun name -> if Sys.file_exists (file name) then fail "full disk: %s was written" name)
+      [ kd ^ ".so"; kd ^ ".json" ];
+    if Sys.file_exists tmp then fail "full disk: temp path left behind";
+    Printf.printf "  ok   failed store counted, nothing left on disk\n%!"
+  end
 
 (* 4/5. Unavailability: no toolchain, then a seeded compile failure.
    Both must leave the resilient chain answering bitwise-correctly via

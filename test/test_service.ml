@@ -386,6 +386,33 @@ let test_disk_cache_tamper_recompile () =
   Alcotest.(check int) "recompiled once" 1 (total_cache s2).Plan_cache.compiles;
   Service.shutdown s2
 
+(* One directory for both stores: the plan store's scan must not take
+   the kernel store's <kernel_digest>.json for a broken envelope and
+   quarantine it, or every restart recompiles its kernels. *)
+let test_disk_cache_shared_dir () =
+  let dir = temp_dir "pmdp-shared" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let create () = Service.create ~workers:2 ~cache_dir:dir ~kernel_cache_dir:dir ~machine:xeon () in
+  let s1 = create () in
+  (match Service.submit s1 (Service.request ~scale:32 "blur") with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "cold submit failed: %s" (Pmdp_error.to_string e));
+  Alcotest.(check (option int)) "cold service compiled the kernel" (Some 1)
+    (Option.map (fun k -> k.Pmdp_kernel.Native_exec.compiles) (Service.kernel_stats s1));
+  Service.shutdown s1;
+  let s2 = create () in
+  Fun.protect ~finally:(fun () -> Service.shutdown s2) @@ fun () ->
+  (match Service.submit s2 (Service.request ~scale:32 "blur") with
+  | Ok r -> Alcotest.(check bool) "warm first request hits the plan cache" true r.Service.cache_hit
+  | Error e -> Alcotest.failf "warm submit failed: %s" (Pmdp_error.to_string e));
+  (match Service.kernel_stats s2 with
+  | Some k ->
+      Alcotest.(check int) "warm service compiles no kernel" 0 k.Pmdp_kernel.Native_exec.compiles;
+      Alcotest.(check int) "kernel served from disk" 1 k.Pmdp_kernel.Native_exec.disk_hits
+  | None -> Alcotest.fail "kernel stats missing");
+  Alcotest.(check (list string)) "nothing quarantined" []
+    (Sys.readdir dir |> Array.to_list |> List.filter (fun f -> Filename.check_suffix f ".bad"))
+
 (* ------------------------------------------------------------------ *)
 (* Service *)
 
@@ -937,7 +964,7 @@ let test_service_full_disk () =
     Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
     let fp = Plan_cache.fingerprint ~app:"blur" ~scale:32 ~scheduler:Scheduler.Dp ~machine:xeon in
     Unix.symlink "/dev/full"
-      (Printf.sprintf "%s.tmp.%d" (Filename.concat dir (fp ^ ".json")) (Unix.getpid ()));
+      (Printf.sprintf "%s.tmp.%d" (Filename.concat dir (fp ^ ".plan")) (Unix.getpid ()));
     with_service ~cache_dir:dir (fun service ->
         List.iter
           (fun label ->
@@ -1256,6 +1283,8 @@ let () =
           Alcotest.test_case "warm restart skips compiles" `Quick test_disk_cache_warm_restart;
           Alcotest.test_case "tampered envelope recompiles" `Quick
             test_disk_cache_tamper_recompile;
+          Alcotest.test_case "shares a directory with the kernel store" `Quick
+            test_disk_cache_shared_dir;
         ] );
       ( "service",
         [
