@@ -41,7 +41,8 @@ let cores = 16 (* the paper evaluates on 16 cores *)
 let measure_schedule sched inputs : Sim.measurement =
   Sim.measure_schedule ~reps ~cores sched inputs
 
-let via sch config p = lazy (Scheduler.schedule (Scheduler.for_pipeline sch p) config p)
+let via sch config p =
+  lazy (Pmdp_baselines.Schedulers.schedule (Scheduler.for_pipeline sch p) config p)
 let dp_schedule config p = Lazy.force (via Scheduler.Dp config p)
 
 let configs machine p =
@@ -463,7 +464,6 @@ let bechamel () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  Pmdp_baselines.Schedulers.install ();
   let which = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   let t0 = Unix.gettimeofday () in
   (match which with

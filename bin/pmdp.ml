@@ -122,7 +122,9 @@ let native_march_t =
    constructor, so a loaded calibration reaches all of them the same
    way. *)
 let make_schedule ?calib scheduler machine pipeline =
-  Scheduler.schedule scheduler (Pmdp_core.Cost_model.config_of_machine ?calib machine) pipeline
+  Pmdp_baselines.Schedulers.schedule scheduler
+    (Pmdp_core.Cost_model.config_of_machine ?calib machine)
+    pipeline
 
 (* CALIB_<machine>.json -> the fitted weights, with the artifact's
    digest/schema/machine checks applied; any failure is fatal (a
@@ -536,26 +538,33 @@ let check_cmd =
                 (* Full DP is exponential in practice on the big pipelines;
                    use the incremental variant there, as the tests do. *)
                 let scheduler = Scheduler.for_pipeline scheduler pipeline in
-                let sched = make_schedule scheduler machine pipeline in
-                let ds = Pmdp_verify.Verify.check_schedule sched in
                 let ds, digest =
-                  if plan || plan_out <> None then
-                    match Pmdp_plan.of_spec_result sched with
-                    | Error e ->
-                        ( ds
-                          @ [
-                              D.make D.Plan D.Error ~kind:(Pmdp_util.Pmdp_error.kind e)
-                                (Pmdp_util.Pmdp_error.message e);
-                            ],
-                          None )
-                    | Ok ir ->
-                        Option.iter
-                          (fun path ->
-                            Pmdp_plan.write path ir;
-                            if not json then Printf.printf "wrote %s\n%!" path)
-                          plan_out;
-                        (ds @ Pmdp_verify.Verify.check_plan pipeline ir, Some (Pmdp_plan.digest ir))
-                  else (ds, None)
+                  match make_schedule scheduler machine pipeline with
+                  | exception Invalid_argument reason ->
+                      (* The dispatch refuses a schedule that fails the
+                         legality check: one error for this case, and the
+                         remaining cases still run. *)
+                      ([ D.make D.Legality D.Error ~kind:"rejected-schedule" reason ], None)
+                  | sched -> (
+                      let ds = Pmdp_verify.Verify.check_schedule sched in
+                      if not (plan || plan_out <> None) then (ds, None)
+                      else
+                        match Pmdp_plan.of_spec_result sched with
+                        | Error e ->
+                            ( ds
+                              @ [
+                                  D.make D.Plan D.Error ~kind:(Pmdp_util.Pmdp_error.kind e)
+                                    (Pmdp_util.Pmdp_error.message e);
+                                ],
+                              None )
+                        | Ok ir ->
+                            Option.iter
+                              (fun path ->
+                                Pmdp_plan.write path ir;
+                                if not json then Printf.printf "wrote %s\n%!" path)
+                              plan_out;
+                            ( ds @ Pmdp_verify.Verify.check_plan pipeline ir,
+                              Some (Pmdp_plan.digest ir) ))
                 in
                 add (app.Registry.name, Scheduler.to_string scheduler, digest, ds))
               schedulers)
@@ -1025,7 +1034,7 @@ let tune_cmd =
       let calib = Option.map (load_calib machine) calib_file in
       let config = Pmdp_core.Cost_model.config_of_machine ?calib machine in
       let scheduler = Scheduler.for_pipeline scheduler pipeline in
-      let sched = Scheduler.schedule scheduler config pipeline in
+      let sched = Pmdp_baselines.Schedulers.schedule scheduler config pipeline in
       (* Every candidate is re-validated end to end before it is ever
          executed: lower to the plan IR, whole-plan analyzer, then the
          resilient driver — the same gates a served plan passes. *)
@@ -1175,11 +1184,6 @@ let tune_cmd =
           $ calib_file_t $ budget_t $ seed_t $ reps_t $ plan_out_t $ model_only_t)
 
 let () =
-  (* Executors validate schedules on entry; with the oracle installed
-     they also refuse illegal or racy ones.  The baseline schedulers
-     register their Scheduler.t implementations the same way. *)
-  Pmdp_verify.Verify.install ();
-  Pmdp_baselines.Schedulers.install ();
   let doc = "PolyMageDP: DP-based fusion and tile-size model (PPoPP'18 reproduction)" in
   let info = Cmd.info "pmdp" ~doc in
   exit

@@ -25,7 +25,6 @@ let intermediates_bytes (ga : Group_analysis.t) =
     ga.members;
   !acc
 
-let total_footprint_bytes ga = liveouts_bytes ga +. intermediates_bytes ga
 let n_buffers (ga : Group_analysis.t) = Array.length ga.members
 
 (* Own-resolution points of member [m] within a scaled-space box of

@@ -16,9 +16,6 @@ val intermediates_bytes : Group_analysis.t -> float
 (** Total size of the group's intermediate (non-live-out) stages'
     domains, in bytes. *)
 
-val total_footprint_bytes : Group_analysis.t -> float
-(** [intermediates_bytes + liveouts_bytes]. *)
-
 val n_buffers : Group_analysis.t -> int
 (** Number of buffers a fused tile touches (one per member stage). *)
 

@@ -45,8 +45,4 @@ let upsample2 name ~ndims ~dim =
   in
   Expr.(const 0.5 *: (at 0 +: at 1))
 
-let round_extent e ~multiple ~min =
-  let r = e / multiple * multiple in
-  if r >= min then r else min
-
 let scaled paper_extent scale = max 16 (paper_extent / scale)

@@ -24,8 +24,5 @@ val upsample2 : string -> ndims:int -> dim:int -> Expr.t
 (** Linear 2x upsampling along [dim]: average of producer values at
     [floor(x/2)] and [floor((x+1)/2)]. *)
 
-val round_extent : int -> multiple:int -> min:int -> int
-(** Round an extent down to a positive multiple (for pyramid apps). *)
-
 val scaled : int -> int -> int
 (** [scaled paper_extent scale] = [max 16 (paper_extent / scale)]. *)

@@ -17,17 +17,14 @@ let synth_inputs (p : Pipeline.t) =
          (inp.Pipeline.in_name, b))
        p.Pipeline.inputs)
 
-let installed = ref false
-
-let install () =
-  if not !installed then begin
-    installed := true;
-    Scheduler.register Scheduler.Greedy (fun _config p ->
-        Polymage_greedy.schedule { Polymage_greedy.tile = 64; overlap_threshold = 0.4 } p);
-    Scheduler.register Scheduler.Halide (fun config p ->
-        Halide_auto.schedule (Halide_auto.params_for config.Cost_model.machine) p);
-    Scheduler.register Scheduler.Manual (fun _config p -> Manual.schedule p);
-    Scheduler.register Scheduler.Autotune (fun _config p ->
+let schedule sch config p =
+  let spec =
+    match (sch : Scheduler.t) with
+    | Dp | Dp_inc -> Scheduler.schedule sch config p
+    | Greedy -> Polymage_greedy.schedule { Polymage_greedy.tile = 64; overlap_threshold = 0.4 } p
+    | Halide -> Halide_auto.schedule (Halide_auto.params_for config.Cost_model.machine) p
+    | Manual -> Manual.schedule p
+    | Autotune ->
         let inputs = synth_inputs p in
         let evaluate sched =
           let plan = Pmdp_exec.Tiled_exec.plan sched in
@@ -35,5 +32,11 @@ let install () =
           ignore (Pmdp_exec.Tiled_exec.run plan ~inputs);
           Unix.gettimeofday () -. t0
         in
-        (Autotune.run ~evaluate p).Autotune.best)
-  end
+        (Autotune.run ~evaluate p).Autotune.best
+  in
+  match Pmdp_verify.Verify.check_legality spec with
+  | Ok () -> spec
+  | Error d ->
+      invalid_arg
+        (Printf.sprintf "Schedulers.schedule: %s produced an illegal schedule: %s"
+           (Scheduler.to_string sch) (Pmdp_verify.Diagnostic.to_string d))

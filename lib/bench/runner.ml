@@ -70,7 +70,6 @@ let makespan_of_timings ~sched ~workers timings =
 let run_app ?pool_sched ?(log = fun _ -> ()) ~reps ~scale ~machine ~workers ~schedulers
     (app : Registry.app) =
   if reps < 1 then invalid_arg "Runner.run_app: reps < 1";
-  Pmdp_baselines.Schedulers.install ();
   let host_cores = Domain.recommended_domain_count () in
   let sim_sched = Option.value pool_sched ~default:(Pool.Chunked 0) in
   let p = app.Registry.build ~scale in
@@ -80,7 +79,7 @@ let run_app ?pool_sched ?(log = fun _ -> ()) ~reps ~scale ~machine ~workers ~sch
   List.concat_map
     (fun scheduler ->
       let resolved = Scheduler.for_pipeline scheduler p in
-      let spec = Scheduler.schedule resolved config p in
+      let spec = Pmdp_baselines.Schedulers.schedule resolved config p in
       let plan = Tiled_exec.plan spec in
       let n_groups = Schedule_spec.n_groups spec in
       let n_tiles = Tiled_exec.total_tiles plan in

@@ -69,9 +69,9 @@ val run_app :
   Pmdp_apps.Registry.app ->
   outcome list
 (** Benchmark one app: the schedule and plan are built once per
-    scheduler (DP included, via {!Pmdp_core.Scheduler.for_pipeline}),
-    then each worker count runs [reps] repetitions on its own
-    persistent pool.  Installs the baseline schedulers.  [log]
+    scheduler (DP included, via {!Pmdp_core.Scheduler.for_pipeline}
+    and {!Pmdp_baselines.Schedulers.schedule}), then each worker count
+    runs [reps] repetitions on its own persistent pool.  [log]
     receives one line per finished case.
     @raise Invalid_argument if [reps < 1]. *)
 

@@ -69,13 +69,6 @@ let dp config p =
 
 let n_groups t = List.length t.groups
 
-(* Optional deeper legality check (dependence/overlap/race analysis),
-   registered by Pmdp_verify.install.  Kept as a hook so this module
-   does not depend on the checker (which depends on the executors,
-   which depend on this module). *)
-let legality_oracle : (t -> string option) option ref = ref None
-let set_legality_oracle o = legality_oracle := o
-
 let validate t =
   check_partition t.pipeline (List.map (fun g -> g.stages) t.groups);
   List.iter
@@ -102,13 +95,7 @@ let validate t =
             (Pipeline.producers t.pipeline s))
         g.stages;
       List.iter (fun s -> seen.(s) <- true) g.stages)
-    t.groups;
-  match !legality_oracle with
-  | None -> ()
-  | Some oracle -> (
-      match oracle t with
-      | None -> ()
-      | Some msg -> invalid_arg ("Schedule_spec.validate: " ^ msg))
+    t.groups
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>schedule for %s (%d groups)@," t.pipeline.Pipeline.name

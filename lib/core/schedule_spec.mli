@@ -33,17 +33,14 @@ val dp : Cost_model.config -> Pmdp_dsl.Pipeline.t -> t * Dp_grouping.outcome
 
 val n_groups : t -> int
 
-val set_legality_oracle : (t -> string option) option -> unit
-(** Register (or clear, with [None]) a deeper legality check run at
-    the end of {!validate}.  The oracle returns [Some message] to
-    reject the schedule.  {!Pmdp_verify.Verify.install} registers its
-    legality + race passes here, after which the executors — which
-    validate on entry — refuse illegal or racy schedules. *)
-
 val validate : t -> unit
 (** Re-checks partition/topological validity and that every tile size
-    is positive (nonempty groups must carry a nonempty tile array);
-    then consults the registered legality oracle, if any.
+    is positive (nonempty groups must carry a nonempty tile array).
+    The deeper legality and race analysis is
+    [Pmdp_verify.Verify.check_legality], which lives above the
+    executors and runs where schedules are made: in
+    [Pmdp_baselines.Schedulers.schedule] and on every
+    [Pmdp_tune.Search.tune_spec] candidate.
     @raise Invalid_argument. *)
 
 val pp : Format.formatter -> t -> unit

@@ -16,12 +16,6 @@ let of_string s =
 
 let names () = String.concat ", " (List.map to_string all)
 
-type impl = Cost_model.config -> Pmdp_dsl.Pipeline.t -> Schedule_spec.t
-
-let impls : (t * impl) list ref = ref []
-
-let register sch impl = impls := (sch, impl) :: List.filter (fun (s, _) -> s <> sch) !impls
-
 let for_pipeline sch p =
   match sch with
   | Dp when Pmdp_dsl.Pipeline.n_stages p >= 30 -> Dp_inc
@@ -33,12 +27,7 @@ let schedule sch config p =
   | Dp_inc ->
       let inc = Inc_grouping.run ~initial_limit:8 ~config p in
       Schedule_spec.of_grouping config p inc.Inc_grouping.groups
-  | sch -> (
-      match List.assoc_opt sch !impls with
-      | Some impl -> impl config p
-      | None ->
-          invalid_arg
-            (Printf.sprintf
-               "Scheduler.schedule: %s has no registered implementation (call \
-                Pmdp_baselines.Schedulers.install ())"
-               (to_string sch)))
+  | Greedy | Autotune | Halide | Manual ->
+      invalid_arg
+        ("Scheduler.schedule: " ^ to_string sch
+       ^ " is a baseline; dispatch through Pmdp_baselines.Schedulers.schedule")

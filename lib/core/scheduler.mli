@@ -1,13 +1,12 @@
-(** First-class schedulers: the one entry point every driver —
-    CLI, benchmark harness, and tests — uses to turn a pipeline into
-    a {!Schedule_spec.t}.
+(** First-class schedulers: the variant every driver — CLI,
+    benchmark harness, and tests — names a scheduler by.
 
     The paper's own schedulers ([Dp], [Dp_inc]) are implemented here
     in [Pmdp_core]; the baselines ([Greedy], [Autotune], [Halide],
     [Manual]) live in [Pmdp_baselines], which depends on this
-    library, so they plug in through {!register} — call
-    [Pmdp_baselines.Schedulers.install ()] once at startup (the same
-    pattern as [Pmdp_verify.Verify.install]). *)
+    library.  [Pmdp_baselines.Schedulers.schedule] is the one dispatch
+    over all six variants; {!schedule} here covers only the two DP
+    variants. *)
 
 type t =
   | Dp  (** the paper's DP fusion + tile-size model (Alg. 1/2) *)
@@ -36,13 +35,6 @@ val for_pipeline : t -> Pmdp_dsl.Pipeline.t -> t
     else is unchanged. *)
 
 val schedule : t -> Cost_model.config -> Pmdp_dsl.Pipeline.t -> Schedule_spec.t
-(** Run the scheduler.  [Autotune] executes candidate schedules to
-    time them, so it is orders of magnitude slower than the rest.
-    @raise Invalid_argument for a baseline scheduler whose
-    implementation has not been registered. *)
-
-type impl = Cost_model.config -> Pmdp_dsl.Pipeline.t -> Schedule_spec.t
-
-val register : t -> impl -> unit
-(** Provide (or replace) the implementation behind a scheduler
-    variant.  Called by [Pmdp_baselines.Schedulers.install]. *)
+(** Run [Dp] or [Dp_inc].
+    @raise Invalid_argument for a baseline, naming the dispatch that
+    runs it ([Pmdp_baselines.Schedulers.schedule]). *)

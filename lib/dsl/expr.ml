@@ -19,7 +19,6 @@ and t =
   | Select of cond * t * t
 
 let const f = Const f
-let int_ i = Const (float_of_int i)
 let var i = Var i
 let cvar i = Cvar { var = i; scale = Rational.one; offset = Rational.zero }
 let cshift i k = Cvar { var = i; scale = Rational.one; offset = Rational.of_int k }

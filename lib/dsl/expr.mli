@@ -49,7 +49,6 @@ and t =
 (** {1 Smart constructors} *)
 
 val const : float -> t
-val int_ : int -> t
 val var : int -> t
 
 val cvar : int -> coord

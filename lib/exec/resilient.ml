@@ -22,9 +22,8 @@ type native_runner =
 
 (* Installed by [Pmdp_kernel.Native_exec.install]; a hook (rather than
    a direct dependency) because pmdp_kernel sits above pmdp_exec in
-   the library graph — same pattern as [Pmdp_baselines.Schedulers.
-   install].  When no backend is installed the native step is not
-   attempted (and not recorded), so interpreter-only runs stay
+   the library graph.  When no backend is installed the native step
+   is not attempted (and not recorded), so interpreter-only runs stay
    undegraded. *)
 let native_hook : native_runner option ref = ref None
 let set_native_runner r = native_hook := r

@@ -152,7 +152,6 @@ let plan_result spec =
 
 let ir plan = plan.ir
 
-let liveout_stages plan = plan.liveouts
 let pipeline plan = plan.pipeline
 let total_tiles plan = Array.fold_left (fun acc g -> acc + g.n_tiles) 0 plan.groups
 

@@ -63,10 +63,6 @@ val working_set_bytes : plan -> int
     ignoring recycling — the resident-set input to the pre-flight
     resource guard of {!Resilient}. *)
 
-val liveout_stages : plan -> string list
-(** Names of stages materialized into full buffers (group live-outs,
-    including all pipeline outputs). *)
-
 val pipeline : plan -> Pmdp_dsl.Pipeline.t
 (** The pipeline the plan lowers — what the reference fallback of
     {!Resilient.run_plan} executes when the plan itself cannot. *)

@@ -95,7 +95,7 @@ let compile ?calib ~fp ~(app : Registry.app) ~pipeline ~scheduler ~machine () =
   wrap_raises ~context:("plan-cache: " ^ app.Registry.name) (fun () ->
       let resolved = Scheduler.for_pipeline scheduler pipeline in
       let spec =
-        Scheduler.schedule resolved
+        Pmdp_baselines.Schedulers.schedule resolved
           (Pmdp_core.Cost_model.config_of_machine ?calib machine)
           pipeline
       in

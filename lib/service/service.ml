@@ -120,7 +120,6 @@ let create ?(workers = 4) ?mem_budget ?(max_inflight = 64) ?(batch_window = 0.0)
   let budget =
     match mem_budget with Some b -> b | None -> Machine.default_mem_budget machine
   in
-  Pmdp_baselines.Schedulers.install ();
   let disk = Option.map (fun dir -> Disk_cache.create ?fault ~dir ()) cache_dir in
   let retuner = Option.map (fun config -> Retune.create ?calib ~config ~machine ()) retune in
   let shared =

@@ -73,7 +73,10 @@ type response = Shard.response = {
   batch_size : int;  (** requests sharing this execution (>= 1) *)
   degraded : bool;  (** the resilient chain needed a fallback step *)
   wall_seconds : float;  (** execution wall-clock of the shared run *)
-  queue_seconds : float;  (** this request's submit → execution-start wait *)
+  queue_seconds : float;
+      (** this request's submit → execution-start wait; includes
+          synthesizing the batch's inputs, which happens just before
+          execution starts *)
   checksum : float;  (** sum of {!Pmdp_exec.Buffer.checksum} over live-outs *)
   results : (string * Pmdp_exec.Buffer.t) list;
       (** live-out buffers, shared verbatim across the batch — treat

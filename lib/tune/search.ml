@@ -85,8 +85,8 @@ let run ~seed ~budget ~init ~evaluate =
 
 (* ------------------------------------------------------------------ *)
 (* Schedule-spec adapter: tiles <-> Schedule_spec groups, with the
-   spec validator as the legality gate before the caller's evaluator
-   sees a candidate. *)
+   spec validator and the static legality check as the gate before
+   the caller's evaluator sees a candidate. *)
 
 let tiles_of_spec (spec : Schedule_spec.t) =
   Array.of_list
@@ -108,7 +108,7 @@ let tune_spec ~seed ~budget ~evaluate (spec : Schedule_spec.t) =
   let eval tiles =
     let cand = spec_with_tiles spec tiles in
     match Schedule_spec.validate cand with
-    | () -> evaluate cand
+    | () -> if Result.is_ok (Pmdp_verify.Verify.check_legality cand) then evaluate cand else None
     | exception Invalid_argument _ -> None
   in
   let r = run ~seed ~budget ~init ~evaluate:eval in

@@ -4,9 +4,10 @@
     candidates are deduplicated, scored by a caller-supplied evaluator
     (model cost or measured wall time), and accepted only when they
     improve on the best score — plain hill climbing, deterministic for
-    a given seed/budget/evaluator.  Tile clamping and legality live in
-    the evaluator's world ({!Pmdp_core.Schedule_spec.validate},
-    {!Pmdp_plan.retile}, the plan admission gate), not here. *)
+    a given seed/budget/evaluator.  Legality lives in the adapters,
+    not in {!run}: {!tune_spec} gates every candidate, and {!tune_ir}'s
+    caller re-admits the winner ({!Pmdp_plan.retile}, the plan
+    admission gate). *)
 
 type stats = {
   evaluated : int;  (** distinct candidates scored, initial point included *)
@@ -41,7 +42,9 @@ val tune_spec :
   Pmdp_core.Schedule_spec.t ->
   Pmdp_core.Schedule_spec.t * result
 (** Search from a schedule's own tiles; every candidate passes
-    [Schedule_spec.validate] before the evaluator sees it. *)
+    [Schedule_spec.validate] and [Pmdp_verify.Verify.check_legality]
+    before the evaluator sees it, and one that fails either counts as
+    rejected. *)
 
 val model_evaluate : Pmdp_core.Cost_model.config -> Pmdp_core.Schedule_spec.t -> float option
 (** Sum of predicted per-group costs under [config] — deterministic

@@ -88,7 +88,6 @@ let fields = function
       [ ("reason", Str reason); ("context", Str context) ]
 
 let raise_ e = raise (Error e)
-let of_exn = function Error e -> Some e | _ -> None
 
 let () =
   Printexc.register_printer (function Error e -> Some ("Pmdp_error: " ^ to_string e) | _ -> None)

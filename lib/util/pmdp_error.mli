@@ -5,8 +5,8 @@
     failure kind instead of parsing [Invalid_argument] strings, and
     reports can render the payload as JSON.  The {!Error} exception is
     the raising form used at boundaries that cannot return a
-    [result]; {!of_exn} recovers the typed value on the catching
-    side. *)
+    [result]; the catching side matches [Error e] to recover the typed
+    value. *)
 
 type t =
   | Plan_invalid of { context : string; reason : string }
@@ -80,6 +80,3 @@ val fields : t -> (string * field) list
 
 val raise_ : t -> 'a
 (** [raise_ e] is [raise (Error e)]. *)
-
-val of_exn : exn -> t option
-(** [Some e] iff the exception is [Error e]. *)

@@ -24,7 +24,6 @@ let pass_name = function
 let severity_name = function Error -> "error" | Warning -> "warning"
 let errors ds = List.filter (fun d -> d.severity = Error) ds
 let warnings ds = List.filter (fun d -> d.severity = Warning) ds
-let of_pass p ds = List.filter (fun d -> d.pass = p) ds
 
 let pp ppf d =
   Format.fprintf ppf "%s %s/%s" (severity_name d.severity) (pass_name d.pass) d.kind;
@@ -34,10 +33,6 @@ let pp ppf d =
   Format.fprintf ppf ": %s" d.detail
 
 let to_string d = Format.asprintf "%a" pp d
-
-let pp_report ppf ds =
-  let order = errors ds @ warnings ds in
-  List.iter (fun d -> Format.fprintf ppf "%a@," pp d) order
 
 let summary ds =
   Printf.sprintf "%d error(s), %d warning(s)" (List.length (errors ds))

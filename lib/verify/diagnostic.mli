@@ -33,15 +33,11 @@ val make :
 val pass_name : pass -> string
 val errors : t list -> t list
 val warnings : t list -> t list
-val of_pass : pass -> t list -> t list
 
 val pp : Format.formatter -> t -> unit
 (** The stable one-line format above. *)
 
 val to_string : t -> string
-
-val pp_report : Format.formatter -> t list -> unit
-(** One diagnostic per line, errors first. *)
 
 val summary : t list -> string
 (** ["N error(s), M warning(s)"]. *)

@@ -17,8 +17,8 @@
     - [uncovered-writes]: some point of a live-out buffer is written
       by no tile and would be returned uninitialized.
 
-    {!Pmdp_core.Schedule_spec.validate} refuses schedules with any of
-    these once {!Verify.install} has registered the oracle, which is
-    how {!Pmdp_exec.Tiled_exec.plan} rejects racy schedules. *)
+    {!Verify.check_legality} refuses schedules with any of these, so
+    a racy schedule from [Pmdp_baselines.Schedulers.schedule] or
+    [Pmdp_tune.Search.tune_spec] never reaches an executor. *)
 
 val check : Pmdp_core.Schedule_spec.t -> Diagnostic.t list

@@ -1,5 +1,3 @@
-module Schedule_spec = Pmdp_core.Schedule_spec
-
 let check_pipeline = Lint.check_pipeline
 
 let check_schedule spec =
@@ -8,16 +6,10 @@ let check_schedule spec =
 let errors = Diagnostic.errors
 let is_clean ds = errors ds = []
 
-let check_schedule_result spec =
-  match errors (check_schedule spec) with
+let check_legality spec =
+  match errors (Legality.check spec @ Race.check spec) with
   | [] -> Ok ()
-  | d :: _ as errs ->
-      Error
-        (Pmdp_util.Pmdp_error.Plan_invalid
-           {
-             context = Printf.sprintf "Verify.check_schedule (%d error(s))" (List.length errs);
-             reason = Diagnostic.to_string d;
-           })
+  | d :: _ -> Error d
 
 let check_plan = Plan_check.check
 
@@ -31,11 +23,3 @@ let check_plan_result ?budget ?workers p ir =
              context = Printf.sprintf "Verify.check_plan (%d error(s))" (List.length errs);
              reason = Diagnostic.to_string d;
            })
-
-let oracle spec =
-  match errors (Legality.check spec @ Race.check spec) with
-  | [] -> None
-  | d :: _ -> Some (Diagnostic.to_string d)
-
-let install () = Schedule_spec.set_legality_oracle (Some oracle)
-let uninstall () = Schedule_spec.set_legality_oracle None

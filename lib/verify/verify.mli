@@ -7,12 +7,10 @@
     when it has no [Error]-severity diagnostics ({!is_clean});
     warnings are advisory (performance pathologies and dead code).
 
-    [install] registers the legality + race passes as
-    {!Pmdp_core.Schedule_spec}'s legality oracle, after which
-    [Schedule_spec.validate] — and therefore
-    {!Pmdp_exec.Tiled_exec.plan} and {!Pmdp_plan.of_spec} (the input
-    of {!Pmdp_codegen.C_emit.emit_kernels}), which validate on entry —
-    refuses illegal or racy schedules. *)
+    [check_legality] is the legality + race gate that every
+    schedule passes before anything lowers or runs it: on each result
+    of [Pmdp_baselines.Schedulers.schedule] and on each
+    [Pmdp_tune.Search.tune_spec] candidate. *)
 
 val check_pipeline : Pmdp_dsl.Pipeline.t -> Diagnostic.t list
 val check_schedule : Pmdp_core.Schedule_spec.t -> Diagnostic.t list
@@ -20,12 +18,12 @@ val check_schedule : Pmdp_core.Schedule_spec.t -> Diagnostic.t list
 val errors : Diagnostic.t list -> Diagnostic.t list
 val is_clean : Diagnostic.t list -> bool
 
-val check_schedule_result : Pmdp_core.Schedule_spec.t -> (unit, Pmdp_util.Pmdp_error.t) result
-(** [check_schedule] folded into the execution stack's typed error
-    taxonomy: [Ok ()] when no error-severity diagnostics, otherwise a
-    [Plan_invalid] carrying the first diagnostic and the error count —
-    the same shape {!Pmdp_exec.Resilient} records, so static rejection
-    and runtime rejection render identically in reports. *)
+val check_legality : Pmdp_core.Schedule_spec.t -> (unit, Diagnostic.t) result
+(** [Error d] with the first error-severity diagnostic of the
+    {!Legality} and {!Race} passes: a grouping or tile size the
+    overlapped-tiling analysis disagrees with, a tile past its scaled
+    extent, or live-out writes that overlap, miss points, or come from
+    two groups.  {!Bounds} and {!Lint} are not run. *)
 
 val check_plan :
   ?budget:int -> ?workers:int -> Pmdp_dsl.Pipeline.t -> Pmdp_plan.t -> Diagnostic.t list
@@ -42,11 +40,8 @@ val check_plan_result :
   Pmdp_dsl.Pipeline.t ->
   Pmdp_plan.t ->
   (unit, Pmdp_util.Pmdp_error.t) result
-(** [check_plan] folded into the typed error taxonomy, like
-    {!check_schedule_result}. *)
-
-val install : unit -> unit
-(** Register the legality + race error oracle with
-    [Schedule_spec.set_legality_oracle]. *)
-
-val uninstall : unit -> unit
+(** [check_plan] folded into the execution stack's typed error
+    taxonomy: [Ok ()] when no error-severity diagnostics, otherwise a
+    [Plan_invalid] carrying the first diagnostic and the error count —
+    the same shape {!Pmdp_exec.Resilient} records, so static rejection
+    and runtime rejection render identically in reports. *)

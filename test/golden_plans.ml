@@ -28,7 +28,8 @@ let cases () =
       List.map
         (fun scheduler ->
           let name = Printf.sprintf "%s_%s" app.name (Scheduler.to_string scheduler) in
-          (name, p, lazy (Scheduler.schedule (Scheduler.for_pipeline scheduler p) config p)))
+          let resolved = Scheduler.for_pipeline scheduler p in
+          (name, p, lazy (Pmdp_baselines.Schedulers.schedule resolved config p)))
         schedulers)
     Pmdp_apps.Registry.all
 
@@ -45,7 +46,6 @@ let read_kernel_list path =
          | _ -> None)
 
 let () =
-  Pmdp_baselines.Schedulers.install ();
   let mode, dir =
     match Array.to_list Sys.argv with
     | [ _; "--write"; dir ] -> (`Write, dir)

@@ -234,7 +234,6 @@ let fallbacks () =
   Printf.printf "  ok   seeded compile failure degrades and is memoized\n%!"
 
 let () =
-  Pmdp_baselines.Schedulers.install ();
   (match Toolchain.probe () with
   | None ->
       (* The container bakes in gcc; a missing toolchain here is a

@@ -65,7 +65,6 @@ let expect_recovery ~app ~case ?pool ?mem_budget ?fault ?timeout spec ~inputs ~r
 let input_bytes inputs = List.fold_left (fun acc (_, b) -> acc + (Buffer.size b * 8)) 0 inputs
 
 let () =
-  Pmdp_baselines.Schedulers.install ();
   let scale = try int_of_string Sys.argv.(1) with _ -> 32 in
   let config = Pmdp_core.Cost_model.default_config Machine.xeon in
   List.iter

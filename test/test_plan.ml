@@ -23,7 +23,7 @@ let schedulers = Scheduler.[ Dp; Greedy; Halide; Manual ]
 let spec_of (app : Registry.app) scheduler machine =
   let p = app.Registry.build ~scale in
   let config = Pmdp_core.Cost_model.default_config machine in
-  (p, Scheduler.schedule (Scheduler.for_pipeline scheduler p) config p)
+  (p, Pmdp_baselines.Schedulers.schedule (Scheduler.for_pipeline scheduler p) config p)
 
 let blur_case () =
   let p, spec = spec_of (Registry.find_exn "blur") Scheduler.Dp Machine.xeon in
@@ -276,7 +276,6 @@ let test_perturbed_weight_drifts_from_golden () =
     (Plan.digest (Plan.of_spec spec') <> claimed)
 
 let () =
-  Pmdp_baselines.Schedulers.install ();
   Alcotest.run "plan"
     [
       ( "codec",

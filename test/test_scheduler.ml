@@ -1,5 +1,6 @@
-(* Tests for the first-class Scheduler API and the option-returning
-   app registry. *)
+(* Tests for the first-class Scheduler API, its one dispatch
+   (Pmdp_baselines.Schedulers.schedule), and the option-returning app
+   registry. *)
 
 module Scheduler = Pmdp_core.Scheduler
 module Schedule_spec = Pmdp_core.Schedule_spec
@@ -7,8 +8,7 @@ module Cost_model = Pmdp_core.Cost_model
 module Pipeline = Pmdp_dsl.Pipeline
 module Registry = Pmdp_apps.Registry
 module Machine = Pmdp_machine.Machine
-
-let () = Pmdp_baselines.Schedulers.install ()
+module Schedulers = Pmdp_baselines.Schedulers
 
 let test_roundtrip () =
   List.iter
@@ -60,7 +60,7 @@ let test_schedule_covers_stages () =
   let config = Cost_model.default_config Machine.xeon in
   List.iter
     (fun sch ->
-      let spec = Scheduler.schedule (Scheduler.for_pipeline sch p) config p in
+      let spec = Schedulers.schedule (Scheduler.for_pipeline sch p) config p in
       let scheduled =
         List.concat_map
           (fun (g : Schedule_spec.group) -> g.Schedule_spec.stages)
@@ -73,12 +73,18 @@ let test_schedule_covers_stages () =
     Scheduler.[ Dp; Dp_inc; Greedy; Halide; Manual ]
 
 let test_unregistered_raises () =
-  (* A fresh variant table would raise; after install () baselines
-     work — verify the error path via a deliberately broken impl. *)
+  (* The dispatch runs a baseline with no startup call; the core
+     library's DP-only entry point refuses one and names the
+     dispatch. *)
   let p = (Registry.find_exn "blur").Registry.build ~scale:32 in
   let config = Cost_model.default_config Machine.xeon in
-  ignore (Scheduler.schedule Scheduler.Greedy config p);
-  Alcotest.(check pass) "registered baseline runs" () ()
+  ignore (Schedulers.schedule Scheduler.Greedy config p);
+  Alcotest.(check pass) "baseline runs through the dispatch" () ();
+  match Scheduler.schedule Scheduler.Greedy config p with
+  | _ -> Alcotest.fail "Pmdp_core.Scheduler.schedule ran a baseline"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) "names the dispatch" true
+        (contains msg "Pmdp_baselines.Schedulers.schedule")
 
 let () =
   Alcotest.run "pmdp_scheduler"

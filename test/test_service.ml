@@ -23,8 +23,6 @@ module Breaker = Pmdp_service.Breaker
 module Fault = Pmdp_runtime.Fault
 module Plan = Pmdp_plan
 
-let () = Pmdp_baselines.Schedulers.install ()
-
 (* ------------------------------------------------------------------ *)
 (* JSON parser *)
 

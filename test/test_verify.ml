@@ -175,15 +175,32 @@ let test_validate_rejects_bad_tiles () =
 let test_legality_oracle () =
   let p = blur () in
   (* passes the basic partition/order/positivity checks, but the tile
-     exceeds the scaled extent: only the oracle can reject it *)
+     exceeds the scaled extent: only the legality check rejects it *)
   let bad =
     { Spec.pipeline = p; groups = [ { Spec.stages = [ 0; 1 ]; tile_sizes = [| 100; 100 |] } ] }
   in
   Spec.validate bad;
-  V.install ();
-  Fun.protect ~finally:V.uninstall (fun () ->
-      Alcotest.(check bool) "oracle rejects" true (invalid (fun () -> Spec.validate bad)));
-  Spec.validate bad
+  match V.check_legality bad with
+  | Ok () -> Alcotest.fail "check_legality accepted a tile past the scaled extent"
+  | Error d ->
+      Alcotest.(check string) "first error" "legality/tile-exceeds-extent"
+        (D.pass_name d.D.pass ^ "/" ^ d.D.kind)
+
+(* The tile search starts from blur's DP schedule and doubles and
+   halves tiles freely; every candidate it can return must pass the
+   legality check, whatever process it runs in.  Seed 0, budget 64 is
+   a walk on which a tile of 4 over a scaled extent of 3 scores best
+   under the model. *)
+let test_tuned_winner_legal () =
+  let module Search = Pmdp_tune.Search in
+  let p = (Pmdp_apps.Registry.find_exn "blur").Pmdp_apps.Registry.build ~scale:32 in
+  let spec = Pmdp_core.Scheduler.schedule Pmdp_core.Scheduler.Dp config p in
+  let tuned, _ =
+    Search.tune_spec ~seed:0 ~budget:64 ~evaluate:(Search.model_evaluate config) spec
+  in
+  match V.check_legality tuned with
+  | Ok () -> ()
+  | Error d -> Alcotest.failf "tuned winner is illegal: %s" (D.to_string d)
 
 (* -------------------- machine-readable failures -------------------- *)
 
@@ -344,6 +361,7 @@ let () =
         [
           Alcotest.test_case "bad tiles" `Quick test_validate_rejects_bad_tiles;
           Alcotest.test_case "oracle" `Quick test_legality_oracle;
+          Alcotest.test_case "tuned winner is legal" `Quick test_tuned_winner_legal;
         ] );
       ("failures", [ Alcotest.test_case "format" `Quick test_failure_format ]);
       ("scratch", [ Alcotest.test_case "extents agree" `Quick test_scratch_extents_agree ]);

@@ -435,8 +435,6 @@ let () =
   (match Array.to_list Sys.argv with
   | _ :: p :: _ -> bench_path := p
   | _ -> ());
-  Pmdp_verify.Verify.install ();
-  Pmdp_baselines.Schedulers.install ();
   test_lstsq_recovery ();
   test_calibrate_bench ();
   test_tuned_plan_sweep ();

@@ -9,7 +9,6 @@
 module Scheduler = Pmdp_core.Scheduler
 
 let () =
-  Pmdp_baselines.Schedulers.install ();
   let scale = try int_of_string Sys.argv.(1) with _ -> 32 in
   let app_failures = ref [] in
   List.iter
@@ -31,7 +30,9 @@ let () =
                       (Scheduler.to_string scheduler) summary
                   in
                   match
-                    Scheduler.schedule (Scheduler.for_pipeline scheduler p) config p
+                    Pmdp_baselines.Schedulers.schedule
+                      (Scheduler.for_pipeline scheduler p)
+                      config p
                   with
                   | exception e ->
                       incr failures;
