@@ -6,7 +6,10 @@
 
     - A durable write is {!put}: each file is written to
       [<name>.tmp.<pid>], closed with [close_out], and renamed to
-      [<name>], in the order given.
+      [<name>], in the order given.  While another put in this process
+      is still writing the same file (a put nested in a writer, or two
+      stores on one directory), the temp name gains a [.<k>] suffix,
+      so no two puts share a temp file.
     - A failed write is any [Sys_error] or [Unix.Unix_error] on that
       path (disk full, permissions): the temp files are removed and
       one failure is counted.  Persistence is an optimization, so a

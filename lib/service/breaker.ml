@@ -21,8 +21,6 @@
 
 module Trace = Pmdp_trace.Trace
 
-type config = { threshold : int; cooldown : float }
-
 type state = Closed | Open | Half_open
 
 type cell = {
@@ -37,7 +35,8 @@ and st =
   | S_half_open of float  (* when the probe was admitted *)
 
 type t = {
-  config : config;
+  threshold : int;
+  cooldown : float;
   lock : Mutex.t;
   cells : (string, cell) Hashtbl.t;
   mutable trips : int;
@@ -48,7 +47,8 @@ type t = {
 
 let create ?(threshold = 3) ?(cooldown = 5.0) () =
   {
-    config = { threshold = max 1 threshold; cooldown = max 0.0 cooldown };
+    threshold = max 1 threshold;
+    cooldown = max 0.0 cooldown;
     lock = Mutex.create ();
     cells = Hashtbl.create 16;
     trips = 0;
@@ -56,8 +56,6 @@ let create ?(threshold = 3) ?(cooldown = 5.0) () =
     probes = 0;
     closes = 0;
   }
-
-let config t = t.config
 
 let with_lock t f =
   Mutex.lock t.lock;
@@ -91,13 +89,13 @@ let check t fp =
             | S_open until ->
                 t.rejects <- t.rejects + 1;
                 `Reject (c.failures, until -. now)
-            | S_half_open since when now -. since > t.config.cooldown ->
+            | S_half_open since when now -. since > t.cooldown ->
                 c.st <- S_half_open now;
                 t.probes <- t.probes + 1;
                 `Probe
             | S_half_open _ ->
                 t.rejects <- t.rejects + 1;
-                `Reject (c.failures, t.config.cooldown)))
+                `Reject (c.failures, t.cooldown)))
   in
   (match decision with
   | `Probe -> Trace.count "service.breaker.probe" 1
@@ -125,14 +123,14 @@ let failure t fp =
         let c = cell_of t fp in
         c.failures <- c.failures + 1;
         let trip () =
-          c.st <- S_open (now +. t.config.cooldown);
+          c.st <- S_open (now +. t.cooldown);
           c.trips <- c.trips + 1;
           t.trips <- t.trips + 1;
           true
         in
         match c.st with
         | S_half_open _ -> trip ()  (* probe failed: straight back open *)
-        | S_closed when c.failures >= t.config.threshold -> trip ()
+        | S_closed when c.failures >= t.threshold -> trip ()
         | S_closed -> false
         | S_open _ -> false (* in-flight stragglers while already open *))
   in

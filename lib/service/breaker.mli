@@ -19,14 +19,10 @@
 
 type t
 
-type config = { threshold : int; cooldown : float }
-
 val create : ?threshold:int -> ?cooldown:float -> unit -> t
 (** [threshold] (default 3, clamped to >= 1) consecutive failures trip
     the circuit; [cooldown] (default 5s) is the open->half-open
     delay. *)
-
-val config : t -> config
 
 val check : t -> string -> [ `Proceed | `Probe | `Reject of int * float ]
 (** Admission decision for one fingerprint.  [`Reject (failures,

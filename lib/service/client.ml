@@ -2,6 +2,17 @@ module Json = Pmdp_report.Json
 module Pmdp_error = Pmdp_util.Pmdp_error
 module Rng = Pmdp_util.Rng
 
+type retry_stats = { attempts : int; retried : int; gave_up : int }
+
+let zero_retry_stats = { attempts = 0; retried = 0; gave_up = 0 }
+
+let add_retry_stats a b =
+  {
+    attempts = a.attempts + b.attempts;
+    retried = a.retried + b.retried;
+    gave_up = a.gave_up + b.gave_up;
+  }
+
 module Retry_policy = struct
   type t = {
     max_attempts : int;
@@ -22,8 +33,6 @@ module Retry_policy = struct
       multiplier = Float.max 1.0 multiplier;
       seed;
     }
-
-  let default = create ()
 
   (* Which failures are worth a retry?  Transient conditions — a full
      queue, a missed deadline, a crashed worker or dropped connection,
@@ -48,18 +57,26 @@ module Retry_policy = struct
   let delay p ~rng ~attempt =
     let d = Float.min p.max_delay (p.base_delay *. (p.multiplier ** float_of_int (attempt - 1))) in
     if d <= 0.0 then 0.0 else d *. (0.5 +. Rng.float rng 0.5)
+
+  (* The retry loop.  Requests are pure, deterministic computations, so
+     re-sending after a lost reply frame at worst recomputes (or hits
+     the plan cache); there is no at-most-once hazard. *)
+  let run p ~rng ~stats f =
+    let add a r g = stats := add_retry_stats !stats { attempts = a; retried = r; gave_up = g } in
+    let rec go attempt =
+      add 1 0 0;
+      match f () with
+      | Ok _ as ok -> ok
+      | Error e when attempt < p.max_attempts && retryable e ->
+          if attempt = 1 then add 0 1 0;
+          Unix.sleepf (delay p ~rng ~attempt);
+          go (attempt + 1)
+      | Error e ->
+          if retryable e then add 0 0 1;
+          Error e
+    in
+    go 1
 end
-
-type retry_stats = { attempts : int; retried : int; gave_up : int }
-
-let zero_retry_stats = { attempts = 0; retried = 0; gave_up = 0 }
-
-let add_retry_stats a b =
-  {
-    attempts = a.attempts + b.attempts;
-    retried = a.retried + b.retried;
-    gave_up = a.gave_up + b.gave_up;
-  }
 
 type t = {
   endpoint : Transport.endpoint;
@@ -67,9 +84,7 @@ type t = {
   rng : Rng.t;
   mutable conn : Unix.file_descr option;
   mutable closed : bool;
-  mutable attempts : int;
-  mutable retried : int;
-  mutable gave_up : int;
+  retries : retry_stats ref;
 }
 
 type remote_response = {
@@ -119,22 +134,16 @@ let connect ?(retry = Retry_policy.none) ~endpoint () =
       rng = Rng.create retry.Retry_policy.seed;
       conn = None;
       closed = false;
-      attempts = 0;
-      retried = 0;
-      gave_up = 0;
+      retries = ref zero_retry_stats;
     }
   in
-  let rec go attempt =
-    match dial t with
-    | Ok _ -> Ok t
-    | Error _ when attempt < retry.Retry_policy.max_attempts ->
-        Unix.sleepf (Retry_policy.delay retry ~rng:t.rng ~attempt);
-        go (attempt + 1)
-    | Error _ as e -> e
-  in
-  match go 1 with Ok t -> Ok t | Error e -> Error e
+  (* Connect attempts are not request attempts: they stay out of the
+     client's retry ledger. *)
+  Result.map
+    (fun _ -> t)
+    (Retry_policy.run retry ~rng:t.rng ~stats:(ref zero_retry_stats) (fun () -> dial t))
 
-let retry_stats t = { attempts = t.attempts; retried = t.retried; gave_up = t.gave_up }
+let retry_stats t = !(t.retries)
 
 let close t =
   if not t.closed then begin
@@ -174,35 +183,16 @@ let attempt_once t req =
               | None -> `Transport (transport_error "error reply without an error object"))
           | None -> `Transport (transport_error "reply without an \"ok\" field")))
 
-(* The retry loop.  Requests are pure, deterministic computations, so
-   re-sending after a lost reply frame at worst recomputes (or hits
-   the plan cache); there is no at-most-once hazard. *)
 let request t req =
   if t.closed then Error (transport_error "connection already closed")
-  else begin
-    let p = t.retry in
-    let rec go attempt =
-      t.attempts <- t.attempts + 1;
-      let retry e =
-        if attempt < p.Retry_policy.max_attempts && Retry_policy.retryable e then begin
-          if attempt = 1 then t.retried <- t.retried + 1;
-          Unix.sleepf (Retry_policy.delay p ~rng:t.rng ~attempt);
-          go (attempt + 1)
-        end
-        else begin
-          if Retry_policy.retryable e then t.gave_up <- t.gave_up + 1;
-          Error e
-        end
-      in
-      match attempt_once t req with
-      | `Ok reply -> Ok reply
-      | `Transport e ->
-          drop_conn t;
-          retry e
-      | `Typed e -> retry e
-    in
-    go 1
-  end
+  else
+    Retry_policy.run t.retry ~rng:t.rng ~stats:t.retries (fun () ->
+        match attempt_once t req with
+        | `Ok reply -> Ok reply
+        | `Transport e ->
+            drop_conn t;
+            Error e
+        | `Typed e -> Error e)
 
 let remote_response_of_json j =
   let int name = Option.bind (Json.member name j) Json.to_int_opt in

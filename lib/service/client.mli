@@ -16,6 +16,16 @@
     a lost reply frame at worst recomputes (or hits the server's plan
     cache). *)
 
+(** Cumulative per-client retry accounting, surfaced by {!Load}. *)
+type retry_stats = {
+  attempts : int;  (** wire attempts, including first sends *)
+  retried : int;  (** requests that needed more than one attempt *)
+  gave_up : int;  (** requests that still failed retryably at the end *)
+}
+
+val zero_retry_stats : retry_stats
+val add_retry_stats : retry_stats -> retry_stats -> retry_stats
+
 (** When and how to retry, derived from the [Pmdp_error] taxonomy. *)
 module Retry_policy : sig
   type t = {
@@ -28,9 +38,6 @@ module Retry_policy : sig
 
   val none : t
   (** One attempt, no retries — the pre-PR-8 behavior. *)
-
-  val default : t
-  (** 4 attempts, 5 ms base, x2 growth, 500 ms ceiling, seed 0. *)
 
   val create :
     ?max_attempts:int ->
@@ -52,17 +59,19 @@ module Retry_policy : sig
   val delay : t -> rng:Pmdp_util.Rng.t -> attempt:int -> float
   (** Sleep before retry number [attempt] (1-based): uniform in
       [d/2, d] where [d = min max_delay (base * multiplier^(attempt-1))]. *)
+
+  val run :
+    t ->
+    rng:Pmdp_util.Rng.t ->
+    stats:retry_stats ref ->
+    (unit -> ('a, Pmdp_util.Pmdp_error.t) result) ->
+    ('a, Pmdp_util.Pmdp_error.t) result
+  (** The retry loop: call the attempt until it succeeds, fails with
+      an error that is not {!retryable}, or [max_attempts] run out,
+      sleeping {!delay} before each retry.  Adds every attempt to
+      [stats], one [retried] when the request needed a second
+      attempt, and one [gave_up] when it still failed retryably. *)
 end
-
-(** Cumulative per-client retry accounting, surfaced by {!Load}. *)
-type retry_stats = {
-  attempts : int;  (** wire attempts, including first sends *)
-  retried : int;  (** requests that needed more than one attempt *)
-  gave_up : int;  (** requests that still failed retryably at the end *)
-}
-
-val zero_retry_stats : retry_stats
-val add_retry_stats : retry_stats -> retry_stats -> retry_stats
 
 type t
 

@@ -180,30 +180,18 @@ let run_remote ~endpoint cfg =
 
 let run_inproc service cfg =
   let make_worker w =
-    (* The same retry semantics as the remote path, minus the
-       transport: typed retryable errors (shed, expired, supervisor-
-       settled, open circuit) are re-submitted with the same backoff
-       and accounting. *)
+    (* The same retry loop as the remote path, minus the transport:
+       typed retryable errors (shed, expired, supervisor-settled, open
+       circuit) are re-submitted with the same backoff and
+       accounting. *)
     let p = worker_policy cfg w in
     let rng = Pmdp_util.Rng.create p.Client.Retry_policy.seed in
     let rs = ref Client.zero_retry_stats in
     let submit req =
-      let rec go attempt =
-        rs := Client.add_retry_stats !rs { Client.attempts = 1; retried = 0; gave_up = 0 };
-        match Service.submit service req with
-        | Ok r -> Ok (r.Service.cache_hit, r.Service.batch_size)
-        | Error e
-          when attempt < p.Client.Retry_policy.max_attempts && Client.Retry_policy.retryable e ->
-            if attempt = 1 then
-              rs := Client.add_retry_stats !rs { Client.attempts = 0; retried = 1; gave_up = 0 };
-            Thread.delay (Client.Retry_policy.delay p ~rng ~attempt);
-            go (attempt + 1)
-        | Error e ->
-            if Client.Retry_policy.retryable e then
-              rs := Client.add_retry_stats !rs { Client.attempts = 0; retried = 0; gave_up = 1 };
-            Error e
-      in
-      go 1
+      Client.Retry_policy.run p ~rng ~stats:rs (fun () ->
+          Result.map
+            (fun r -> (r.Service.cache_hit, r.Service.batch_size))
+            (Service.submit service req))
     in
     (submit, fun () -> !rs)
   in

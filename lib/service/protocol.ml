@@ -311,14 +311,14 @@ let json_of_health (h : Service.health) =
         Json.List
           (Array.to_list
              (Array.map
-                (fun (sh : Shard.health) ->
+                (fun (sh : Service.shard_health) ->
                   Json.Obj
                     [
-                      ("shard", Json.Int sh.Shard.shard);
-                      ("alive", Json.Bool sh.Shard.alive);
-                      ("queue_depth", Json.Int sh.Shard.queue_depth);
-                      ("running", Json.Int sh.Shard.running);
-                      ("restarts", Json.Int sh.Shard.restarts);
+                      ("shard", Json.Int sh.Service.shard);
+                      ("alive", Json.Bool sh.Service.alive);
+                      ("queue_depth", Json.Int sh.Service.queue_depth);
+                      ("running", Json.Int sh.Service.running);
+                      ("restarts", Json.Int sh.Service.restarts);
                     ])
                 h.Service.shards)) );
       ("breaker", json_of_breaker h.Service.breaker);
@@ -352,7 +352,7 @@ let health_of_json j =
           (List.map
              (fun sj ->
                {
-                 Shard.shard = int sj "shard" ~default:(-1);
+                 Service.shard = int sj "shard" ~default:(-1);
                  alive = Option.value ~default:false (Option.bind (Json.member "alive" sj) Json.to_bool_opt);
                  queue_depth = int sj "queue_depth" ~default:0;
                  running = int sj "running" ~default:0;

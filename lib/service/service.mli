@@ -1,6 +1,6 @@
 (** The pipeline-execution service: a long-running layer over the
-    whole existing stack — a fleet of dispatcher {!Shard}s, each with
-    its own {!Plan_cache} in front of the
+    whole existing stack — a fleet of dispatcher shards, each with its
+    own {!Plan_cache} in front of the
     DSL→analysis→grouping→compile path, admission control and
     graduated backpressure in front of the memory budget and the
     bounded per-shard queues, same-pipeline request batching in front
@@ -12,10 +12,16 @@
     Unix-domain or TCP socket ({!Server}, {!Transport}, {!Protocol})
     and [pmdp load] drives either form ({!Load}).
 
+    All shards share one mutex, which guards every queue and every
+    shard's ledger (its {!counters}); each shard has its own condition
+    variable, so waking one dispatcher does not stampede the fleet.
+    The circuit breaker's and the retuner's locks are leaves, taken
+    before the service lock and never while holding it.
+
     {2 Lifecycle of a request}
 
     + {b Routing}: the request's plan fingerprint is hashed onto the
-      consistent ring ({!Shard.Ring}); everything after admission
+      consistent ring ({!Ring}); everything after admission
       happens on that one shard.  Routing is deterministic across
       processes, so same-plan requests always share a shard — and
       therefore still coalesce into one execution — however many
@@ -42,11 +48,35 @@
       {!response} (shared, read-only result buffers) with its own id
       and queue time; {!await} collects it.
 
+    {b Supervision}: each dispatcher thread runs under a supervisor.
+    When it dies (injected [Shard_kill], escaped execution exception),
+    the supervisor settles the batch it owned with a typed retryable
+    [Worker_crash], backs off with seeded jitter (25 ms doubling to
+    1 s), and respawns it; the queue survives across the respawn.
+
     Threads: callers may submit from any thread or domain.  All
     execution happens on the owning shard's dispatcher thread;
     parallelism comes from each shard's worker domains. *)
 
-type request = Shard.request = {
+module Ring : sig
+  (** Consistent-hash ring over shard indices.  Deterministic — every
+      hash input is a pure function of the shard/vnode index or the
+      routed fingerprint — so the same fingerprint lands on the same
+      shard in every process, every run.  That is what keeps
+      same-plan requests coalescing into one batch even behind a
+      fleet, and what lets a warm disk cache be preloaded into the
+      shard that will serve it. *)
+
+  type t
+
+  val create : shards:int -> t
+  (** [shards] ≥ 1; each shard contributes 64 virtual nodes. *)
+
+  val route : t -> string -> int
+  (** Shard index in [\[0, shards)] for a plan fingerprint. *)
+end
+
+type request = {
   app : string;  (** registry name or short code, e.g. "unsharp"/"UM" *)
   scale : int;  (** divides the paper's image extents *)
   scheduler : Pmdp_core.Scheduler.t;
@@ -66,7 +96,7 @@ val request :
 (** Request for an app by name; [scale] defaults to 32, [scheduler]
     to [Dp], [seed] to 1, [priority] to 0, [deadline] to none. *)
 
-type response = Shard.response = {
+type response = {
   id : int;
   fingerprint : string;  (** plan-cache key the request hashed to *)
   cache_hit : bool;  (** plan served without compiling (memory or disk) *)
@@ -117,9 +147,18 @@ type stats = {
   retune : Retune.counters option;  (** when created with [?retune] *)
 }
 
+(** One shard's liveness row for the [health] op. *)
+type shard_health = {
+  shard : int;
+  alive : bool;  (** dispatcher thread up (false during a respawn backoff) *)
+  queue_depth : int;
+  running : int;  (** requests in the batch being executed right now *)
+  restarts : int;
+}
+
 type health = {
   draining : bool;  (** a graceful drain is in progress (or done) *)
-  shards : Shard.health array;  (** per-shard liveness/queue/restarts *)
+  shards : shard_health array;  (** per-shard liveness/queue/restarts *)
   breaker : Breaker.counters;
   circuits : Breaker.snapshot list;  (** only open/half-open circuits *)
 }
@@ -193,13 +232,12 @@ val create :
     A/B — watch it via [stats.retune] and the [service.retune.*]
     trace counters. *)
 
-val machine : t -> Pmdp_machine.Machine.t
 val mem_budget : t -> int
 val shard_count : t -> int
 
 val shard_of_fingerprint : t -> string -> int
 (** The shard index a plan fingerprint routes to — deterministic and
-    stable across restarts (see {!Shard.Ring}). *)
+    stable across restarts (see {!Ring}). *)
 
 val submit_async : t -> request -> (int, Pmdp_util.Pmdp_error.t) result
 (** Admit, route, and enqueue; returns the request id to {!await} on.

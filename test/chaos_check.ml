@@ -32,7 +32,6 @@ module Transport = Pmdp_service.Transport
 module Service = Pmdp_service.Service
 module Server = Pmdp_service.Server
 module Client = Pmdp_service.Client
-module Shard = Pmdp_service.Shard
 module Fault = Pmdp_runtime.Fault
 
 let wall_clock_bound = 120.0 (* seconds; the run takes a few *)
@@ -181,10 +180,12 @@ let () =
       | Ok h ->
           check "post-chaos health: every shard alive"
             (Array.length h.Service.shards = 2
-            && Array.for_all (fun (sh : Shard.health) -> sh.Shard.alive) h.Service.shards);
+            && Array.for_all
+                 (fun (sh : Service.shard_health) -> sh.Service.alive)
+                 h.Service.shards);
           check "post-chaos health: not draining" (not h.Service.draining);
           let restarts =
-            Array.fold_left (fun acc (sh : Shard.health) -> acc + sh.Shard.restarts) 0
+            Array.fold_left (fun acc (sh : Service.shard_health) -> acc + sh.Service.restarts) 0
               h.Service.shards
           in
           check "the dispatcher kill is on the restart ledger" (restarts >= 1));

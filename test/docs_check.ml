@@ -1,8 +1,11 @@
 (* Documentation consistency checker, wired into `dune runtest`
-   (alias @docscheck).  Two classes of rot it catches:
+   (alias @docscheck).  Three classes of rot it catches:
 
    - markdown cross-links (`[text](target)`) in README.md, DESIGN.md,
      EXPERIMENTS.md and docs/*.md whose target file no longer exists;
+   - backticked repository paths (`lib/...`, `bin/...`, `test/...`,
+     `bench/...`, `examples/...`) in those documents that name no
+     file or directory;
    - `pmdp <subcommand> --flag` mentions in those documents naming a
      subcommand or flag the CLI no longer accepts.  Ground truth is
      the built binary itself: every mentioned subcommand's
@@ -167,6 +170,70 @@ let check_cli_line file lineno line =
   scan None toks
 
 (* ------------------------------------------------------------------ *)
+(* Repository paths.  `X.exe` stands for its source `X.ml`, `{a,b}`
+   expands to both names, and a `*` component must match at least one
+   entry. *)
+
+let root = ref "."
+let path_roots = [ "lib/"; "bin/"; "test/"; "bench/"; "examples/" ]
+
+let rec expand_braces s =
+  match (String.index_opt s '{', String.index_opt s '}') with
+  | Some i, Some j when i < j ->
+      let pre = String.sub s 0 i and post = String.sub s (j + 1) (String.length s - j - 1) in
+      String.split_on_char ',' (String.sub s (i + 1) (j - i - 1))
+      |> List.concat_map (fun alt -> expand_braces (pre ^ alt ^ post))
+  | _ -> [ s ]
+
+(* Does [pat] from index [i] match [s] from index [j], '*' matching
+   any run of characters? *)
+let rec glob_match pat i s j =
+  if i = String.length pat then j = String.length s
+  else if pat.[i] = '*' then
+    glob_match pat (i + 1) s j || (j < String.length s && glob_match pat i s (j + 1))
+  else j < String.length s && pat.[i] = s.[j] && glob_match pat (i + 1) s (j + 1)
+
+(* The paths under the root that [path] names: one, or one per entry
+   a `*` component matches. *)
+let resolve path =
+  List.fold_left
+    (fun dirs comp ->
+      if comp = "" then dirs
+      else if String.contains comp '*' then
+        List.concat_map
+          (fun d ->
+            match Sys.readdir d with
+            | names ->
+                Array.to_list names
+                |> List.filter (fun n -> glob_match comp 0 n 0)
+                |> List.map (Filename.concat d)
+            | exception Sys_error _ -> [])
+          dirs
+      else List.map (fun d -> Filename.concat d comp) dirs)
+    [ !root ] (String.split_on_char '/' path)
+
+let check_paths file content =
+  List.iteri
+    (fun i line ->
+      String.split_on_char '`' line
+      |> List.filteri (fun k _ -> k mod 2 = 1)
+      |> List.concat_map split_ws
+      |> List.iter (fun tok ->
+             if List.exists (fun prefix -> String.starts_with ~prefix tok) path_roots then
+               List.iter
+                 (fun path ->
+                   let path =
+                     if Filename.check_suffix path ".exe" then
+                       Filename.chop_suffix path ".exe" ^ ".ml"
+                     else path
+                   in
+                   if not (List.exists Sys.file_exists (resolve path)) then
+                     err "%s:%d: %s names no file or directory in the repository" file (i + 1)
+                       path)
+                 (expand_braces tok)))
+    (String.split_on_char '\n' content)
+
+(* ------------------------------------------------------------------ *)
 (* Flag-reference documents: service.md and tuning.md document flags
    outside `pmdp <sub> ...` command lines (tables, prose), so the
    line-scan above cannot anchor them to a subcommand.  Sweep every
@@ -282,6 +349,7 @@ let check_pmdp_list () =
 let check_file file =
   let content = read_file file in
   check_links file content;
+  check_paths file content;
   List.iteri
     (fun i line -> check_cli_line file (i + 1) line)
     (String.split_on_char '\n' content);
@@ -293,7 +361,6 @@ let check_file file =
   | _ -> ()
 
 let () =
-  let root = ref "." in
   let rec parse = function
     | "--pmdp" :: v :: rest ->
         pmdp_exe := v;

@@ -167,8 +167,7 @@ let () =
   | Ok h ->
       check "wire health reports every shard alive"
         (Array.length h.Service.shards = 2
-        && Array.for_all (fun (sh : Pmdp_service.Shard.health) -> sh.Pmdp_service.Shard.alive)
-             h.Service.shards);
+        && Array.for_all (fun (sh : Service.shard_health) -> sh.Service.alive) h.Service.shards);
       check "wire health reports not draining" (not h.Service.draining);
       check "wire health reports no open circuits" (h.Service.circuits = []));
 

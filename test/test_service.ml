@@ -14,13 +14,13 @@ module Pmdp_error = Pmdp_util.Pmdp_error
 module Plan_cache = Pmdp_service.Plan_cache
 module Disk_cache = Pmdp_service.Disk_cache
 module Transport = Pmdp_service.Transport
-module Shard = Pmdp_service.Shard
 module Service = Pmdp_service.Service
 module Protocol = Pmdp_service.Protocol
 module Load = Pmdp_service.Load
 module Client = Pmdp_service.Client
 module Breaker = Pmdp_service.Breaker
 module Fault = Pmdp_runtime.Fault
+module Store = Pmdp_runtime.Store
 module Plan = Pmdp_plan
 
 (* ------------------------------------------------------------------ *)
@@ -259,23 +259,23 @@ let test_transport_endpoint_parse () =
 
 let test_ring_routing () =
   let fps = List.init 64 (fun i -> Digest.to_hex (Digest.string (Printf.sprintf "fp-%d" i))) in
-  let ring = Shard.Ring.create ~shards:4 in
-  let ring' = Shard.Ring.create ~shards:4 in
+  let ring = Service.Ring.create ~shards:4 in
+  let ring' = Service.Ring.create ~shards:4 in
   List.iter
     (fun fp ->
-      let s = Shard.Ring.route ring fp in
+      let s = Service.Ring.route ring fp in
       Alcotest.(check bool) "shard in range" true (s >= 0 && s < 4);
       (* a rebuilt ring — a restarted process — routes identically *)
-      Alcotest.(check int) "routing deterministic" s (Shard.Ring.route ring' fp))
+      Alcotest.(check int) "routing deterministic" s (Service.Ring.route ring' fp))
     fps;
   (* 64 virtual nodes per shard spread well enough that every shard
      takes traffic from 64 distinct fingerprints *)
   let hit = Array.make 4 false in
-  List.iter (fun fp -> hit.(Shard.Ring.route ring fp) <- true) fps;
+  List.iter (fun fp -> hit.(Service.Ring.route ring fp) <- true) fps;
   Alcotest.(check bool) "every shard takes traffic" true (Array.for_all Fun.id hit);
-  let one = Shard.Ring.create ~shards:1 in
+  let one = Service.Ring.create ~shards:1 in
   List.iter
-    (fun fp -> Alcotest.(check int) "single shard gets everything" 0 (Shard.Ring.route one fp))
+    (fun fp -> Alcotest.(check int) "single shard gets everything" 0 (Service.Ring.route one fp))
     fps
 
 (* ------------------------------------------------------------------ *)
@@ -410,6 +410,29 @@ let test_disk_cache_shared_dir () =
   | None -> Alcotest.fail "kernel stats missing");
   Alcotest.(check (list string)) "nothing quarantined" []
     (Sys.readdir dir |> Array.to_list |> List.filter (fun f -> Filename.check_suffix f ".bad"))
+
+(* A put nested in another put's writer, for the same entry: each
+   must write its own temp file, so the entry ends up holding exactly
+   one writer's bytes, both puts count as stores, and no temp file is
+   left behind. *)
+let test_store_nested_put () =
+  let dir = temp_dir "pmdp-store" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let store = Store.create ~dir () in
+  let outer = String.make 100 'A' and inner = String.make 300 'B' in
+  Store.put store
+    [
+      ( "entry",
+        fun oc ->
+          output_string oc outer;
+          Store.put store [ ("entry", fun oc -> output_string oc inner) ] );
+    ];
+  let got = In_channel.with_open_bin (Filename.concat dir "entry") In_channel.input_all in
+  Alcotest.(check bool) "entry holds one writer's bytes" true (got = outer || got = inner);
+  let s = Store.stats store in
+  Alcotest.(check int) "both puts stored" 2 s.Store.stores;
+  Alcotest.(check int) "no store failures" 0 s.Store.store_failures;
+  Alcotest.(check (list string)) "no temp file left" [ "entry" ] (Array.to_list (Sys.readdir dir))
 
 (* ------------------------------------------------------------------ *)
 (* Service *)
@@ -797,11 +820,11 @@ let test_service_health_baseline () =
       Alcotest.(check bool) "not draining" false h.Service.draining;
       Alcotest.(check int) "one entry per shard" 2 (Array.length h.Service.shards);
       Array.iteri
-        (fun i (sh : Shard.health) ->
-          Alcotest.(check int) "tagged with its index" i sh.Shard.shard;
-          Alcotest.(check bool) "dispatcher alive" true sh.Shard.alive;
-          Alcotest.(check int) "no restarts" 0 sh.Shard.restarts;
-          Alcotest.(check int) "queue empty" 0 sh.Shard.queue_depth)
+        (fun i (sh : Service.shard_health) ->
+          Alcotest.(check int) "tagged with its index" i sh.Service.shard;
+          Alcotest.(check bool) "dispatcher alive" true sh.Service.alive;
+          Alcotest.(check int) "no restarts" 0 sh.Service.restarts;
+          Alcotest.(check int) "queue empty" 0 sh.Service.queue_depth)
         h.Service.shards;
       Alcotest.(check bool) "no open circuits" true (h.Service.circuits = []))
 
@@ -834,9 +857,9 @@ let test_service_supervisor_respawn () =
       retry 40;
       let h = Service.health service in
       Alcotest.(check bool) "every dispatcher alive after recovery" true
-        (Array.for_all (fun (sh : Shard.health) -> sh.Shard.alive) h.Service.shards);
+        (Array.for_all (fun (sh : Service.shard_health) -> sh.Service.alive) h.Service.shards);
       let restarts =
-        Array.fold_left (fun acc (sh : Shard.health) -> acc + sh.Shard.restarts) 0
+        Array.fold_left (fun acc (sh : Service.shard_health) -> acc + sh.Service.restarts) 0
           h.Service.shards
       in
       Alcotest.(check bool) "the respawn is on the ledger" true (restarts >= 1);
@@ -1038,10 +1061,21 @@ let test_protocol_error_codec () =
   | Pmdp_error.Plan_invalid _ -> ()
   | e -> Alcotest.failf "unexpected decode: %s" (Pmdp_error.to_string e)
 
+(* The member names of a JSON object, sorted; [] for anything else. *)
+let keys = function Some (Json.Obj m) -> List.sort compare (List.map fst m) | _ -> []
+
+let counter_keys =
+  [
+    "batched_requests"; "batches"; "cache"; "completed"; "executions"; "expired"; "failed";
+    "inflight_bytes"; "queue_depth"; "rejected"; "restarts"; "shed"; "submitted";
+  ]
+
 let test_protocol_stats_json () =
   (* The v2 sharded stats document: one counters object per shard
      (tagged with its index), a field-wise rollup, and the disk-cache
-     member (null without --cache-dir). *)
+     member (null without --cache-dir).  Key sets are pinned exactly:
+     clients read them by name (perfbench's restart check reads
+     totals.cache.compiles). *)
   with_service ~shards:2 (fun service ->
       (match Service.submit service (Service.request ~scale:32 "blur") with
       | Ok _ -> ()
@@ -1054,14 +1088,26 @@ let test_protocol_stats_json () =
             Option.value ~default:[]
               (Option.bind (Json.member "shards" doc) Json.to_list_opt)
           in
+          Alcotest.(check (list string)) "document members"
+            [ "breaker"; "disk"; "retune"; "shards"; "totals" ]
+            (keys (Some doc));
           Alcotest.(check int) "one counters object per shard" 2 (List.length shards);
           List.iteri
             (fun i s ->
               Alcotest.(check (option int))
                 (Printf.sprintf "shard %d tagged with its index" i)
                 (Some i)
-                (Option.bind (Json.member "shard" s) Json.to_int_opt))
+                (Option.bind (Json.member "shard" s) Json.to_int_opt);
+              Alcotest.(check (list string))
+                (Printf.sprintf "shard %d members" i)
+                (List.sort compare ("shard" :: counter_keys))
+                (keys (Some s)))
             shards;
+          Alcotest.(check (list string)) "totals members" counter_keys
+            (keys (Json.member "totals" doc));
+          Alcotest.(check (list string)) "breaker members"
+            [ "closes"; "open_now"; "probes"; "rejects"; "tracked"; "trips" ]
+            (keys (Json.member "breaker" doc));
           let totals_member name =
             Option.bind
               (Option.bind (Json.member "totals" doc) (Json.member name))
@@ -1076,8 +1122,17 @@ let test_protocol_stats_json () =
           in
           Alcotest.(check (option int)) "cache rollup carries loads" (Some 0)
             (Option.bind (Option.bind cache (Json.member "loads")) Json.to_int_opt);
+          Alcotest.(check (list string)) "cache rollup members"
+            [ "compiles"; "entries"; "hits"; "load_rejects"; "loads"; "misses" ]
+            (keys cache);
           Alcotest.(check bool) "disk is null without --cache-dir" true
-            (Json.member "disk" doc = Some Json.Null))
+            (Json.member "disk" doc = Some Json.Null));
+  let dir = temp_dir "pmdp-stats" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  with_service ~cache_dir:dir (fun service ->
+      Alcotest.(check (list string)) "disk members with --cache-dir"
+        [ "hits"; "misses"; "quarantined"; "store_failures"; "stores" ]
+        (keys (Json.member "disk" (Protocol.json_of_stats (Service.stats service)))))
 
 let test_protocol_health_codec () =
   let h =
@@ -1085,8 +1140,8 @@ let test_protocol_health_codec () =
       Service.draining = true;
       shards =
         [|
-          { Shard.shard = 0; alive = true; queue_depth = 2; running = 1; restarts = 0 };
-          { Shard.shard = 1; alive = false; queue_depth = 0; running = 0; restarts = 3 };
+          { Service.shard = 0; alive = true; queue_depth = 2; running = 1; restarts = 0 };
+          { Service.shard = 1; alive = false; queue_depth = 0; running = 0; restarts = 3 };
         |];
       breaker =
         { Breaker.trips = 2; rejects = 5; probes = 1; closes = 1; open_now = 1; tracked = 2 };
@@ -1097,6 +1152,12 @@ let test_protocol_health_codec () =
         ];
     }
   in
+  (match Option.bind (Json.member "shards" (Protocol.json_of_health h)) Json.to_list_opt with
+  | Some (row :: _) ->
+      Alcotest.(check (list string)) "shard row members"
+        [ "alive"; "queue_depth"; "restarts"; "running"; "shard" ]
+        (keys (Some row))
+  | _ -> Alcotest.fail "encoded health has no shard rows");
   (match Protocol.health_of_json (Protocol.json_of_health h) with
   | Ok h' ->
       Alcotest.(check bool) "draining survives" true h'.Service.draining;
@@ -1283,6 +1344,7 @@ let () =
             test_disk_cache_tamper_recompile;
           Alcotest.test_case "shares a directory with the kernel store" `Quick
             test_disk_cache_shared_dir;
+          Alcotest.test_case "nested puts keep one writer's bytes" `Quick test_store_nested_put;
         ] );
       ( "service",
         [
