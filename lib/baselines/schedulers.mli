@@ -1,6 +1,7 @@
 (** The one scheduler dispatch: every {!Pmdp_core.Scheduler.t}
     variant to its implementation.  [Dp] and [Dp_inc] run
-    {!Pmdp_core.Scheduler.schedule}; the baselines run this library's
+    {!Pmdp_core.Scheduler.schedule}, which sends [Dp] on a large
+    pipeline to [Dp_inc]; the baselines run this library's
     {!Polymage_greedy}, {!Autotune}, {!Halide_auto} and {!Manual}. *)
 
 val schedule :

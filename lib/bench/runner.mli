@@ -1,8 +1,9 @@
 (** Real-pool benchmark runner behind both `pmdp bench` and the
-    `bench/` harness: app x scheduler x worker-count cases, each
-    validated bitwise against {!Pmdp_exec.Reference.run}, with the
-    executor's per-group {!Pmdp_report.Profile} attached, serialized
-    to the repository's [BENCH_<machine>.json] trajectory files. *)
+    `bench/` harness: app x scheduler x worker-count cases, every
+    repetition checked bitwise against {!Pmdp_exec.Reference.run}
+    ({!Pmdp_exec.Reference.max_abs_diff}), with the executor's
+    per-group {!Pmdp_report.Profile} attached, serialized to the
+    repository's [BENCH_<machine>.json] trajectory files. *)
 
 type group_cost = {
   gc_group : int;  (** group position in the schedule *)
@@ -37,7 +38,9 @@ type outcome = {
           ["none"] when every rep failed *)
   median_s : float;  (** median of [wall_seconds] (upper for even reps) *)
   min_s : float;
-  max_abs_diff : float;  (** vs the reference executor; 0.0 = bitwise valid *)
+  max_abs_diff : float;
+      (** worst over every rep, the sequential timed ones included,
+          vs the reference executor; 0.0 = bitwise valid *)
   n_groups : int;
   n_tiles : int;
   profile : Pmdp_report.Profile.t;  (** of the last rep *)
@@ -58,6 +61,25 @@ val valid : outcome -> bool
 (** Bitwise equality with the reference executor and no typed
     execution failure. *)
 
+val run_spec :
+  ?pool_sched:Pmdp_runtime.Pool.sched ->
+  ?log:(string -> unit) ->
+  reps:int ->
+  machine:Pmdp_machine.Machine.t ->
+  workers:int list ->
+  scheduler:Pmdp_core.Scheduler.t ->
+  inputs:(string * Pmdp_exec.Buffer.t) list ->
+  reference:(string * Pmdp_exec.Buffer.t) list ->
+  Pmdp_core.Schedule_spec.t ->
+  outcome list
+(** Benchmark one schedule, however it was built: the plan is lowered
+    once, then each worker count runs [reps] repetitions on [inputs]
+    on its own persistent pool, each checked against [reference] (a
+    {!Pmdp_exec.Reference.run} on [inputs]).  [scheduler] is recorded
+    in the outcomes; a hand-built schedule names the one it stands in
+    for.  [log] receives one line per finished case.
+    @raise Invalid_argument if [reps < 1]. *)
+
 val run_app :
   ?pool_sched:Pmdp_runtime.Pool.sched ->
   ?log:(string -> unit) ->
@@ -68,11 +90,9 @@ val run_app :
   schedulers:Pmdp_core.Scheduler.t list ->
   Pmdp_apps.Registry.app ->
   outcome list
-(** Benchmark one app: the schedule and plan are built once per
-    scheduler (DP included, via {!Pmdp_core.Scheduler.for_pipeline}
-    and {!Pmdp_baselines.Schedulers.schedule}), then each worker count
-    runs [reps] repetitions on its own persistent pool.  [log]
-    receives one line per finished case.
+(** Benchmark one app: its seed-1 inputs and their reference are
+    built once, then each scheduler's schedule
+    ({!Pmdp_baselines.Schedulers.schedule}) goes through {!run_spec}.
     @raise Invalid_argument if [reps < 1]. *)
 
 val run_all :

@@ -22,7 +22,7 @@ let for_pipeline sch p =
   | sch -> sch
 
 let schedule sch config p =
-  match sch with
+  match for_pipeline sch p with
   | Dp -> fst (Schedule_spec.dp config p)
   | Dp_inc ->
       let inc = Inc_grouping.run ~initial_limit:8 ~config p in

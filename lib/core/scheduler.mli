@@ -32,9 +32,11 @@ val names : unit -> string
 val for_pipeline : t -> Pmdp_dsl.Pipeline.t -> t
 (** [Dp] on pipelines of >= 30 stages becomes [Dp_inc] (the full DP's
     state space is intractable there — paper §5, Table 2); everything
-    else is unchanged. *)
+    else is unchanged.  {!schedule} applies it itself; callers use it
+    to name the scheduler that actually ran. *)
 
 val schedule : t -> Cost_model.config -> Pmdp_dsl.Pipeline.t -> Schedule_spec.t
-(** Run [Dp] or [Dp_inc].
+(** Run [Dp] or [Dp_inc], after {!for_pipeline}: [Dp] on a large
+    pipeline runs [Dp_inc].
     @raise Invalid_argument for a baseline, naming the dispatch that
     runs it ([Pmdp_baselines.Schedulers.schedule]). *)

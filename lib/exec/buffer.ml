@@ -81,8 +81,10 @@ let max_abs_diff a b =
   let worst = ref 0.0 in
   Array.iteri
     (fun i x ->
-      let d = Float.abs (x -. b.data.(i)) in
-      if d > !worst then worst := d)
+      let y = b.data.(i) in
+      (* NaN against NaN is equal; Float.max propagates a NaN met on
+         one side only. *)
+      if x <> y && (x = x || y = y) then worst := Float.max !worst (Float.abs (x -. y)))
     a.data;
   !worst
 

@@ -29,7 +29,8 @@ val fill : t -> (int array -> float) -> unit
 (** Fill every point from a function of its coordinates. *)
 
 val max_abs_diff : t -> t -> float
-(** Largest absolute element difference.
+(** Largest absolute element difference: [nan] when one buffer holds
+    a NaN where the other does not (NaN against NaN counts as equal).
     @raise Invalid_argument on shape mismatch. *)
 
 val checksum : t -> float

@@ -98,3 +98,11 @@ let outputs_only (p : Pipeline.t) results =
       let name = (Pipeline.stage p sid).Stage.name in
       Option.map (fun b -> (name, b)) (List.assoc_opt name results))
     p.Pipeline.outputs
+
+let max_abs_diff ~reference results =
+  List.fold_left
+    (fun acc (name, b) ->
+      match List.assoc_opt name reference with
+      | Some r -> Float.max acc (Buffer.max_abs_diff b r)
+      | None -> acc)
+    0.0 results

@@ -19,3 +19,11 @@ val run :
 val outputs_only :
   Pmdp_dsl.Pipeline.t -> (string * Buffer.t) list -> (string * Buffer.t) list
 (** Restrict a result set to the pipeline's declared outputs. *)
+
+val max_abs_diff :
+  reference:(string * Buffer.t) list -> (string * Buffer.t) list -> float
+(** The one correctness check: the worst {!Buffer.max_abs_diff} of
+    each result buffer against the [reference] buffer of the same name
+    (a {!run} on the same inputs); names the reference lacks are
+    skipped.  A result is correct only when this is [0.0]: every
+    executor, kernel and schedule must match {!run} bitwise. *)

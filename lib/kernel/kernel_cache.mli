@@ -25,8 +25,8 @@ type meta = {
   so_md5 : string;  (** hex MD5 of the shared object as stored *)
   compiler : string;  (** first line of [cc --version] *)
   openmp : bool;  (** compiled with [-fopenmp] *)
-  validation : string;  (** admission verdict: ["bitwise"] or ["epsilon"] *)
-  max_abs_diff : float;  (** worst |native - reference| at admission *)
+  validation : string;  (** admission verdict, always ["bitwise"] *)
+  max_abs_diff : float;  (** |native - reference| at admission, always [0.0] *)
 }
 
 val create : dir:string -> unit -> t

@@ -22,7 +22,6 @@ type kernel = {
   handle : nativeint;
   group_fns : nativeint array;  (* one per plan group, execution order *)
   slots : string list;  (* inputs then live-outs; the bufs vector order *)
-  validation : string;  (* "bitwise" | "epsilon" *)
 }
 
 type stats = {
@@ -39,8 +38,6 @@ type t = {
   toolchain : Toolchain.t option;
   cache : Kernel_cache.t option;
   fault : Fault.t option;
-  eps : float;
-  march : bool;
   table : (string, kernel) Hashtbl.t;
   failed : (string, Pmdp_error.t) Hashtbl.t;
   lock : Mutex.t;
@@ -53,13 +50,11 @@ type t = {
   mutable unavailable : int;
 }
 
-let create ?fault ?cache_dir ?cc ?(eps = 1e-6) ?(march = false) () =
+let create ?fault ?cache_dir ?cc () =
   {
-    toolchain = Toolchain.probe ?cc ~march ();
+    toolchain = Toolchain.probe ?cc ();
     cache = Option.map (fun dir -> Kernel_cache.create ~dir ()) cache_dir;
     fault;
-    eps;
-    march;
     table = Hashtbl.create 16;
     failed = Hashtbl.create 16;
     lock = Mutex.create ();
@@ -146,37 +141,18 @@ let validation_inputs (p : Pipeline.t) =
          (i.Pipeline.in_name, b))
        p.Pipeline.inputs)
 
-let max_abs (b : Buffer.t) = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 b.Buffer.data
-
 (* Admission: the kernel's live-outs on deterministic inputs must be
-   bitwise equal to {!Reference.run}, or within [eps] relative when
-   libm or rounding drift sneaks in.  Anything worse is rejected. *)
+   bitwise equal to {!Reference.run}.  Anything else is rejected. *)
 let validate t kernel plan =
   bump t (fun t -> t.validations <- t.validations + 1);
   let p = Tiled_exec.pipeline plan in
   let inputs = validation_inputs p in
   let native = exec_kernel kernel plan ~workers:1 ~inputs in
-  let reference = Reference.run p ~inputs in
-  let worst_abs = ref 0.0 and worst_rel = ref 0.0 in
-  List.iter
-    (fun (name, b) ->
-      match List.assoc_opt name reference with
-      | None -> ()
-      | Some r ->
-          let d = Buffer.max_abs_diff b r in
-          worst_abs := Float.max !worst_abs d;
-          worst_rel := Float.max !worst_rel (d /. Float.max 1e-30 (max_abs r)))
-    native;
-  (* -march=native kernels are never admitted "bitwise", even when a
-     particular run happens to match exactly: the label is a promise
-     about the compilation mode, not one lucky comparison. *)
-  if !worst_abs = 0.0 && not t.march then Ok ("bitwise", 0.0)
-  else if !worst_rel <= t.eps then Ok ("epsilon", Float.max !worst_abs 0.0)
+  let worst = Reference.max_abs_diff ~reference:(Reference.run p ~inputs) native in
+  if worst = 0.0 then Ok ()
   else begin
     bump t (fun t -> t.validation_failures <- t.validation_failures + 1);
-    Error
-      (Printf.sprintf "validation failed: max |native - reference| = %g (relative %g > %g)"
-         !worst_abs !worst_rel t.eps)
+    Error (Printf.sprintf "validation failed: max |native - reference| = %g, not bitwise" worst)
   end
 
 (* ---- admission ------------------------------------------------------ *)
@@ -184,7 +160,7 @@ let validate t kernel plan =
 let dlopen_kernel ~n_groups ~slots so_path =
   let handle = dl_open so_path in
   let group_fns = Array.init n_groups (fun gi -> dl_sym handle (C_emit.kernel_symbol gi)) in
-  { handle; group_fns; slots; validation = "" }
+  { handle; group_fns; slots }
 
 let try_disk t plan ~kd ~n_groups ~slots =
   match t.cache with
@@ -201,9 +177,9 @@ let try_disk t plan ~kd ~n_groups ~slots =
               (* Checksummed or not, nothing reaches the executor
                  without passing the gate in this process. *)
               match validate t kernel plan with
-              | Ok (verdict, _) ->
+              | Ok () ->
                   bump t (fun t -> t.disk_hits <- t.disk_hits + 1);
-                  Some { kernel with validation = verdict }
+                  Some kernel
               | Error reason ->
                   Kernel_cache.quarantine cache ~kernel_digest:kd ~reason;
                   None)))
@@ -238,7 +214,7 @@ let compile_fresh t plan ~kd ~n_groups ~slots =
           | kernel -> (
               match validate t kernel plan with
               | Error reason -> Error reason
-              | Ok (verdict, worst) ->
+              | Ok () ->
                   Option.iter
                     (fun cache ->
                       Kernel_cache.store cache ~kernel_digest:kd
@@ -249,22 +225,16 @@ let compile_fresh t plan ~kd ~n_groups ~slots =
                           so_md5 = Digest.to_hex (Digest.file so);
                           compiler = tc.Toolchain.version;
                           openmp = tc.Toolchain.openmp;
-                          validation = verdict;
-                          max_abs_diff = worst;
+                          validation = "bitwise";
+                          max_abs_diff = 0.0;
                         }
                         ~so_src:so)
                     t.cache;
-                  Ok { kernel with validation = verdict })))
+                  Ok kernel)))
 
 let acquire t plan =
   let ir = Tiled_exec.ir plan in
-  (* March objects get their own cache/memoization key: a plain build
-     must never dlopen a vectorized object (or vice versa) from a
-     previous process. *)
-  let kd =
-    let kd = Pmdp_plan.kernel_digest ir in
-    if t.march then kd ^ "+march" else kd
-  in
+  let kd = Pmdp_plan.kernel_digest ir in
   Mutex.lock t.lock;
   let hit = Hashtbl.find_opt t.table kd in
   let dead = Hashtbl.find_opt t.failed kd in
@@ -287,11 +257,7 @@ let acquire t plan =
           if Trace.on () then
             Trace.instant ~cat:"kernel"
               ~args:
-                [
-                  ("kernel", Trace.Str kd);
-                  ("pipeline", Trace.Str p.Pipeline.name);
-                  ("validation", Trace.Str kernel.validation);
-                ]
+                [ ("kernel", Trace.Str kd); ("pipeline", Trace.Str p.Pipeline.name) ]
               "kernel.admitted";
           Ok kernel
       | Error reason ->
@@ -319,7 +285,6 @@ let run t plan ~workers ~inputs =
             [
               ("pipeline", Trace.Str (Tiled_exec.pipeline plan).Pipeline.name);
               ("workers", Trace.Int workers);
-              ("validation", Trace.Str kernel.validation);
             ]
           "kernel.run" body
       end

@@ -12,13 +12,13 @@
 
     Whatever the path, {b nothing executes a request before passing
     the validation gate}: the kernel runs once on deterministic seeded
-    inputs and its live-outs are compared against
-    {!Pmdp_exec.Reference.run} — bitwise equality expected (the
-    kernels mirror the interpreter's double arithmetic and are
-    compiled with [-ffp-contract=off]), an [eps] relative tolerance
-    accepted, anything worse rejected (and quarantined, when it came
-    from disk).  Admission failures are memoized per digest, so a
-    missing toolchain costs one probe, not one per request.
+    inputs and its live-outs must equal {!Pmdp_exec.Reference.run}
+    bitwise ({!Pmdp_exec.Reference.max_abs_diff} = 0: the kernels
+    mirror the interpreter's double arithmetic and are compiled with
+    [-ffp-contract=off]); anything else is rejected (and quarantined,
+    when it came from disk).  Admission failures are memoized per
+    digest, so a missing toolchain costs one probe, not one per
+    request.
 
     Execution copies inputs into Bigarray storage (data outside the
     OCaml heap, stable across GC), releases the runtime lock, and
@@ -34,24 +34,11 @@
 type t
 
 val create :
-  ?fault:Pmdp_runtime.Fault.t ->
-  ?cache_dir:string ->
-  ?cc:string ->
-  ?eps:float ->
-  ?march:bool ->
-  unit ->
-  t
+  ?fault:Pmdp_runtime.Fault.t -> ?cache_dir:string -> ?cc:string -> unit -> t
 (** Probe the toolchain and open the on-disk cache ([cache_dir]
     omitted = no persistence).  [cc] forces a single compiler
     candidate (tests use an impossible one to simulate a host without
-    a toolchain); [fault] arms the seeded compile-failure injection;
-    [eps] (default [1e-6]) is the relative tolerance of the
-    validation gate.  [march] (default false, the `--native-march`
-    opt-in) compiles kernels with [-march=native]: vectorization may
-    contract/reorder float arithmetic, so bitwise admission is
-    disabled — kernels are admitted under the [eps] gate only, and
-    compiled objects are cached under a salted key so plain and march
-    builds never share artifacts. *)
+    a toolchain); [fault] arms the seeded compile-failure injection. *)
 
 val toolchain : t -> Toolchain.t option
 (** [None] on a host with no working C compiler. *)

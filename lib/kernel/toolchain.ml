@@ -1,6 +1,6 @@
 module Fault = Pmdp_runtime.Fault
 
-type t = { cc : string; openmp : bool; march : bool; version : string }
+type t = { cc : string; openmp : bool; version : string }
 
 (* One flag set everywhere: -ffp-contract=off forbids fused
    multiply-adds, which would otherwise round differently from the
@@ -8,14 +8,7 @@ type t = { cc : string; openmp : bool; march : bool; version : string }
    the bitwise validation gate. *)
 let base_flags = "-O2 -shared -fPIC -ffp-contract=off"
 
-(* -march=native is an explicit opt-in (`--native-march`): it lets the
-   compiler vectorize with FMA and wider registers, which reorders and
-   contracts float arithmetic — so kernels built with it can never be
-   admitted bitwise, only under the epsilon gate. *)
-let flags t =
-  base_flags
-  ^ (if t.march then " -march=native" else "")
-  ^ if t.openmp then " -fopenmp" else ""
+let flags t = base_flags ^ if t.openmp then " -fopenmp" else ""
 
 let first_line_of cmd =
   try
@@ -25,7 +18,7 @@ let first_line_of cmd =
     line
   with _ -> ""
 
-let probe_one ~march cc =
+let probe_one cc =
   if Sys.command (Printf.sprintf "command -v %s > /dev/null 2>&1" (Filename.quote cc)) <> 0
   then None
   else begin
@@ -40,21 +33,16 @@ let probe_one ~march cc =
            extra (Filename.quote src) (Filename.quote so))
       = 0
     in
-    (* A compiler that fails with -march=native (cross toolchains,
-       exotic hosts) is no use when the caller demanded it; fall back
-       to the interpreter rather than silently dropping the flag. *)
-    let works = if march then ok " -march=native" else ok "" in
-    let openmp =
-      works && ok ((if march then " -march=native" else "") ^ " -fopenmp")
-    in
+    let works = ok "" in
+    let openmp = works && ok " -fopenmp" in
     (try Sys.remove src with Sys_error _ -> ());
     (try Sys.remove so with Sys_error _ -> ());
     if works then
-      Some { cc; openmp; march; version = first_line_of (Filename.quote cc ^ " --version") }
+      Some { cc; openmp; version = first_line_of (Filename.quote cc ^ " --version") }
     else None
   end
 
-let probe ?cc ?(march = false) () =
+let probe ?cc () =
   let candidates =
     match cc with
     | Some c -> [ c ]
@@ -62,7 +50,7 @@ let probe ?cc ?(march = false) () =
         (match Sys.getenv_opt "PMDP_CC" with Some c when c <> "" -> [ c ] | _ -> [])
         @ [ "cc"; "gcc"; "clang" ])
   in
-  List.find_map (probe_one ~march) candidates
+  List.find_map probe_one candidates
 
 let read_all path =
   try

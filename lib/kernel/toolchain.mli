@@ -11,9 +11,6 @@
 type t = {
   cc : string;  (** compiler command that passed the probe *)
   openmp : bool;  (** [-fopenmp] accepted (kernels are serial-correct without it) *)
-  march : bool;
-      (** compile with [-march=native] — opt-in, forfeits bitwise
-          reproducibility (see {!flags}) *)
   version : string;  (** first line of [cc --version], for cache metadata *)
 }
 
@@ -22,21 +19,13 @@ val base_flags : string
     so kernel arithmetic rounds exactly like the interpreter's. *)
 
 val flags : t -> string
-(** {!base_flags} plus [-march=native] when [march] and [-fopenmp]
-    when the probe accepted it.  [-march=native] lets the compiler
-    vectorize with FMA and wider registers, which reorders and
-    contracts float arithmetic — kernels built with it can never be
-    admitted bitwise, only under the epsilon gate
-    ({!Native_exec.create}). *)
+(** {!base_flags} plus [-fopenmp] when the probe accepted it. *)
 
-val probe : ?cc:string -> ?march:bool -> unit -> t option
+val probe : ?cc:string -> unit -> t option
 (** Find a working compiler by test-compiling a shared object.
     Candidates, in order: [cc] when given (and nothing else — the
     forced-toolchain hook tests use), else [$PMDP_CC], then [cc],
-    [gcc], [clang].  With [march] (default false) the probe itself
-    compiles with [-march=native]; a compiler that rejects the flag
-    yields [None] (interpreter fallback) rather than silently
-    dropping the opt-in. *)
+    [gcc], [clang]. *)
 
 val compile : ?fault:Pmdp_runtime.Fault.t -> t -> src:string -> out:string -> (unit, string) result
 (** Compile [src] to the shared object [out] ([cc <flags> src -o out

@@ -82,6 +82,17 @@ val observe : t -> fingerprint:string -> wall:float -> job:(unit -> job) -> unit
 
 val counters : t -> counters
 
+val median_wall :
+  Pmdp_exec.Tiled_exec.plan ->
+  machine:Pmdp_machine.Machine.t ->
+  inputs:(string * Pmdp_exec.Buffer.t) list ->
+  reps:int ->
+  float
+(** The tuning timer: median wall seconds of [reps] (>= 1)
+    {!Pmdp_exec.Resilient.run_plan} executions, a failed run counting
+    as [infinity].  The A/B gate here and [pmdp tune]'s measured
+    search both score candidates with it. *)
+
 val shutdown : t -> unit
 (** Stop the tuner thread (queued jobs are dropped; an attempt already
     running finishes first) and join it.  Idempotent. *)

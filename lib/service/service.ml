@@ -373,15 +373,7 @@ let execute_batch t s key (batch : pending list) =
         let checksum = List.fold_left (fun acc (_, b) -> acc +. Buffer.checksum b) 0.0 results in
         let max_abs_diff =
           if not t.validate then None
-          else
-            let reference = reference_for s key p0 in
-            Some
-              (List.fold_left
-                 (fun acc (n, b) ->
-                   match List.assoc_opt n reference with
-                   | Some r -> Float.max acc (Buffer.max_abs_diff b r)
-                   | None -> acc)
-                 0.0 results)
+          else Some (Reference.max_abs_diff ~reference:(reference_for s key p0) results)
         in
         Ok
           {
@@ -617,21 +609,17 @@ let new_shard ~disk ~workers index =
 let create ?(workers = 4) ?mem_budget ?(max_inflight = 64) ?(batch_window = 0.0)
     ?(validate = false) ?(shards = 1) ?(queue_limit = 128) ?cache_dir ?fault
     ?(breaker_threshold = 3) ?(breaker_cooldown = 5.0) ?(native = false) ?kernel_cache_dir
-    ?(native_march = false) ?calib ?retune ~machine () =
+    ?calib ?retune ~machine () =
   if workers < 1 then invalid_arg "Service.create: workers < 1";
   if max_inflight < 1 then invalid_arg "Service.create: max_inflight < 1";
   if shards < 1 then invalid_arg "Service.create: shards < 1";
   if queue_limit < 1 then invalid_arg "Service.create: queue_limit < 1";
   let disk = Option.map (fun dir -> Disk_cache.create ?fault ~dir ()) cache_dir in
   (* Naming a kernel cache dir is enough of an opt-in: persistence
-     only makes sense when kernels run.  [native_march] implies the
-     backend too — asking for vectorized kernels is asking for
-     kernels. *)
+     only makes sense when kernels run. *)
   let kernel =
-    if native || native_march || kernel_cache_dir <> None then
-      Some
-        (Pmdp_kernel.Native_exec.create ?fault ?cache_dir:kernel_cache_dir
-           ~march:native_march ())
+    if native || kernel_cache_dir <> None then
+      Some (Pmdp_kernel.Native_exec.create ?fault ?cache_dir:kernel_cache_dir ())
     else None
   in
   let t =

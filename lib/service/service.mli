@@ -179,7 +179,6 @@ val create :
   ?breaker_cooldown:float ->
   ?native:bool ->
   ?kernel_cache_dir:string ->
-  ?native_march:bool ->
   ?calib:Pmdp_core.Cost_model.calibration ->
   ?retune:Retune.config ->
   machine:Pmdp_machine.Machine.t ->
@@ -219,11 +218,7 @@ val create :
     count the [service.kernel.native] / [service.kernel.fallback]
     trace counters.  [kernel_cache_dir] persists compiled kernels so
     a restarted service answers its first request without invoking
-    the C compiler.  [native_march] (default false, the
-    [--native-march] flag) additionally compiles kernels with
-    [-march=native] — implies the native backend, forfeits bitwise
-    admission (epsilon gate only; see {!Pmdp_kernel.Native_exec}).
-    [calib] threads fitted cost-model weights
+    the C compiler.  [calib] threads fitted cost-model weights
     ({!Pmdp_tune.Calibration}) into every plan compile and into the
     retuner's tile search; it does not change plan fingerprints.
     [retune] starts the online re-optimizer ({!Retune}): hot

@@ -1,6 +1,6 @@
 (* Native-kernel checks: every registry pipeline compiled to C,
    dlopen'ed, and executed through the native backend must match the
-   reference executor bitwise (or within the epsilon gate); the
+   reference executor bitwise, as the admission gate demands; the
    on-disk kernel cache must serve a warm restart without recompiling,
    quarantine a corrupted shared object and recompile around it, and
    count a store that fails on a full disk without leaving files; and a
@@ -13,7 +13,6 @@ module Scheduler = Pmdp_core.Scheduler
 module Tiled_exec = Pmdp_exec.Tiled_exec
 module Resilient = Pmdp_exec.Resilient
 module Reference = Pmdp_exec.Reference
-module Buffer = Pmdp_exec.Buffer
 module Fault = Pmdp_runtime.Fault
 module Pmdp_error = Pmdp_util.Pmdp_error
 module Registry = Pmdp_apps.Registry
@@ -48,20 +47,8 @@ let plan_of (app : Registry.app) =
       fail "%s: plan failed: %s" app.Registry.name (Pmdp_error.to_string e);
       exit 1
 
-let max_abs b = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 b.Buffer.data
-
-(* Worst absolute and relative live-out divergence vs the reference. *)
-let divergence results reference =
-  List.fold_left
-    (fun (wa, wr) (name, b) ->
-      match List.assoc_opt name reference with
-      | None -> (wa, wr)
-      | Some r ->
-          let d = Buffer.max_abs_diff b r in
-          (Float.max wa d, Float.max wr (d /. Float.max 1e-30 (max_abs r))))
-    (0.0, 0.0) results
-
-(* 1. The sweep: every app executes natively, equal to the reference. *)
+(* 1. The sweep: every app executes natively, bitwise equal to the
+   reference. *)
 let sweep backend =
   Printf.printf "native-vs-reference sweep (scale %d):\n%!" scale;
   List.iter
@@ -73,12 +60,9 @@ let sweep backend =
       | exception e ->
           fail "%s: native run raised %s" app.Registry.name (Printexc.to_string e)
       | results ->
-          let wa, wr = divergence results reference in
-          if wa = 0.0 then Printf.printf "  ok   %-16s bitwise\n%!" app.Registry.name
-          else if wr <= 1e-6 then
-            Printf.printf "  ok   %-16s epsilon (max abs %g, rel %g)\n%!" app.Registry.name
-              wa wr
-          else fail "%s: native diverges: max abs %g, rel %g" app.Registry.name wa wr);
+          let d = Reference.max_abs_diff ~reference results in
+          if d = 0.0 then Printf.printf "  ok   %-16s bitwise\n%!" app.Registry.name
+          else fail "%s: native diverges: max abs %g" app.Registry.name d);
       (* Same plan through the resilient chain: the native step must be
          the one that answers, with no degradation recorded. *)
       Native_exec.install backend;
@@ -90,9 +74,8 @@ let sweep backend =
           (match List.rev attempts with
           | (step, None) :: _ when Resilient.step_name step = "native" -> ()
           | _ -> fail "%s: native was not the answering step" app.Registry.name);
-          let wa, wr = divergence results reference in
-          if wa <> 0.0 && wr > 1e-6 then
-            fail "%s: resilient native diverges: max abs %g" app.Registry.name wa);
+          let d = Reference.max_abs_diff ~reference results in
+          if d <> 0.0 then fail "%s: resilient native diverges: max abs %g" app.Registry.name d);
       Native_exec.uninstall ())
     Registry.all
 
@@ -110,8 +93,8 @@ let cache_lifecycle () =
     match Native_exec.run backend plan ~workers:1 ~inputs with
     | exception e -> fail "%s: raised %s" label (Printexc.to_string e)
     | results ->
-        let wa, wr = divergence results reference in
-        if wa <> 0.0 && wr > 1e-6 then fail "%s: diverges by %g" label wa
+        let d = Reference.max_abs_diff ~reference results in
+        if d <> 0.0 then fail "%s: diverges by %g" label d
   in
   (* cold: compile and persist *)
   let a = Native_exec.create ~cache_dir:dir () in
@@ -201,8 +184,8 @@ let expect_fallback label backend spec ~inputs ~reference =
             fail "%s: native failed with %s (want kernel-unavailable)" label
               (Pmdp_error.kind e)
       | _ -> fail "%s: no failed native attempt on the ledger" label);
-      let wa, _ = divergence results reference in
-      if wa <> 0.0 then fail "%s: fallback diverges by %g" label wa);
+      let d = Reference.max_abs_diff ~reference results in
+      if d <> 0.0 then fail "%s: fallback diverges by %g" label d);
   Native_exec.uninstall ()
 
 let fallbacks () =

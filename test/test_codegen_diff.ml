@@ -4,8 +4,7 @@
 
    The kernels compute in double precision and mirror the interpreter
    operation for operation, so the comparison is the native admission
-   gate's rule: bitwise, or max |diff| <= 1e-6 * max |ref| per
-   buffer. *)
+   gate's rule: bitwise equality, every live-out. *)
 
 open Pmdp_dsl
 module Buffer_ = Pmdp_exec.Buffer
@@ -103,14 +102,9 @@ let run_diff (app : Pmdp_apps.Registry.app) scale =
       let expected = List.assoc liveout reference in
       let data = read_f64 (Filename.concat dir (liveout ^ ".out.bin")) (Buffer_.size expected) in
       let diff = Buffer_.max_abs_diff { expected with Buffer_.data } expected in
-      let ref_max =
-        Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 expected.Buffer_.data
-      in
       Alcotest.(check bool)
-        (Printf.sprintf "%s live-out %s bitwise or within 1e-6 relative (max |diff| %g)" name
-           liveout diff)
-        true
-        (diff = 0.0 || diff <= 1e-6 *. ref_max))
+        (Printf.sprintf "%s live-out %s bitwise (max |diff| %g)" name liveout diff)
+        true (diff = 0.0))
     ir.Pmdp_plan.liveouts;
   ignore (Sys.command ("rm -rf " ^ Filename.quote dir))
 

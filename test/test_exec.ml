@@ -40,6 +40,24 @@ let test_buffer_diff () =
   Buffer.set b [| 1; 1 |] 3.0;
   Alcotest.(check (float 0.0)) "max diff" 3.0 (Buffer.max_abs_diff a b)
 
+(* The one correctness check: a NaN on one side only is a difference,
+   NaN against NaN is not, and names the reference lacks are skipped. *)
+let test_reference_check () =
+  let buf v =
+    let b = Buffer.create "b" (Stage.dim2 2 2) in
+    Buffer.set b [| 1; 0 |] v;
+    b
+  in
+  let reference = [ ("out", buf Float.nan) ] in
+  let check msg expect results =
+    Alcotest.(check bool) msg true (expect (Reference.max_abs_diff ~reference results))
+  in
+  check "NaN against NaN" (( = ) 0.0) [ ("out", buf Float.nan) ];
+  check "number against NaN" Float.is_nan [ ("out", buf 1.0) ];
+  check "NaN propagates past later names" Float.is_nan
+    [ ("out", buf 1.0); ("other", buf 0.0) ];
+  check "unknown name skipped" (( = ) 0.0) [ ("extra", buf 5.0) ]
+
 (* -------------------- Compile -------------------- *)
 
 let test_compile_constants_and_ops () =
@@ -248,6 +266,7 @@ let () =
           Alcotest.test_case "set out of range" `Quick test_buffer_set_out_of_range;
           Alcotest.test_case "fill/checksum" `Quick test_buffer_fill_checksum;
           Alcotest.test_case "max diff" `Quick test_buffer_diff;
+          Alcotest.test_case "reference check" `Quick test_reference_check;
         ] );
       ( "compile",
         [

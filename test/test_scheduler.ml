@@ -72,6 +72,20 @@ let test_schedule_covers_stages () =
         (List.length (List.sort_uniq compare scheduled)))
     Scheduler.[ Dp; Dp_inc; Greedy; Halide; Manual ]
 
+let test_dp_resolves_large () =
+  (* The dispatch itself sends Dp on a large pipeline to Dp_inc, so no
+     caller runs the unbounded DP on camera_pipe's 32 stages. *)
+  let p = (Registry.find_exn "camera_pipe").Registry.build ~scale:32 in
+  let config = Cost_model.default_config Machine.xeon in
+  let shape sch =
+    List.map
+      (fun (g : Schedule_spec.group) -> (g.Schedule_spec.stages, g.Schedule_spec.tile_sizes))
+      (Schedulers.schedule sch config p).Schedule_spec.groups
+  in
+  let dp = shape Scheduler.Dp and dp_inc = shape Scheduler.Dp_inc in
+  Alcotest.(check int) "dp-inc's group count" (List.length dp_inc) (List.length dp);
+  Alcotest.(check bool) "dp-inc's groups and tiles" true (dp = dp_inc)
+
 let test_unregistered_raises () =
   (* The dispatch runs a baseline with no startup call; the core
      library's DP-only entry point refuses one and names the
@@ -100,6 +114,7 @@ let () =
         [
           Alcotest.test_case "for_pipeline" `Quick test_for_pipeline;
           Alcotest.test_case "covers stages" `Quick test_schedule_covers_stages;
+          Alcotest.test_case "dp on a large pipeline is dp-inc" `Quick test_dp_resolves_large;
           Alcotest.test_case "baselines installed" `Quick test_unregistered_raises;
         ] );
     ]
