@@ -1,11 +1,14 @@
 (** Dense row-major float buffers for stage domains and inputs. *)
 
-type t = {
+type t = private {
   name : string;
   dims : Pmdp_dsl.Stage.dim array;
   stride : int array;  (** row-major strides over extents *)
   data : float array;
 }
+(** Only {!create} and {!with_data} build one, so [data] always holds
+    at least the domain's points: the native kernels index it in
+    place without a bounds check. *)
 
 val create : string -> Pmdp_dsl.Stage.dim array -> t
 (** Zero-initialized buffer covering the given domain. *)

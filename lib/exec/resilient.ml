@@ -223,19 +223,18 @@ let run_chain ?pool ?sched ?profile ?machine ?mem_budget ?fault ?timeout ~planne
           match !native_hook with
           | None -> None
           | Some runner ->
-              (* The backend mirrors inputs and live-outs into
-                 Bigarray storage, so a native run holds roughly two
-                 copies of the working set. *)
-              let required = 2 * resident in
+              (* The kernels run in place on the inputs' and live-outs'
+                 storage, plus one scratch arena per OpenMP thread.
+                 The arenas are sized by C_emit.scratch_alloc_extents,
+                 not by the interpreter's figure used here, so this
+                 stays an estimate. *)
+              let workers = match pool with Some p -> Pool.n_workers p | None -> 1 in
+              let required = resident + (scratch * workers) in
               if required > budget then begin
                 over_budget Native required;
                 None
               end
-              else
-                let workers =
-                  match pool with Some p -> Pool.n_workers p | None -> 1
-                in
-                attempt Native (fun ~cancel:_ -> runner ~plan ~workers ~inputs)
+              else attempt Native (fun ~cancel:_ -> runner ~plan ~workers ~inputs)
         in
         match try_native () with
         | Some r -> finish r

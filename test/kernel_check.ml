@@ -1,6 +1,10 @@
 (* Native-kernel checks: every registry pipeline compiled to C,
    dlopen'ed, and executed through the native backend must match the
-   reference executor bitwise, as the admission gate demands; the
+   reference executor bitwise, as the admission gate demands, also
+   while another thread forces minor collections during the calls; a
+   steady native run must allocate little beyond its live-outs, and the
+   resilient chain must admit the native step under a budget that holds
+   the working set and the scratch arenas; the
    on-disk kernel cache must serve a warm restart without recompiling,
    quarantine a corrupted shared object and recompile around it, and
    count a store that fails on a full disk without leaving files; and a
@@ -9,6 +13,7 @@
    Run directly or via `dune build @kernelcheck` / `dune runtest`. *)
 
 module Machine = Pmdp_machine.Machine
+module Buffer = Pmdp_exec.Buffer
 module Scheduler = Pmdp_core.Scheduler
 module Tiled_exec = Pmdp_exec.Tiled_exec
 module Resilient = Pmdp_exec.Resilient
@@ -37,15 +42,23 @@ let temp_dir prefix =
 
 let scale = 32
 
+(* Scheduled once per app: the DP dominates this check's run time. *)
+let plans = Hashtbl.create 16
+
 let plan_of (app : Registry.app) =
-  let p = app.Registry.build ~scale in
-  let config = Pmdp_core.Cost_model.default_config Machine.xeon in
-  let spec = Scheduler.schedule (Scheduler.for_pipeline Scheduler.Dp p) config p in
-  match Tiled_exec.plan_result spec with
-  | Ok plan -> (p, spec, plan)
-  | Error e ->
-      fail "%s: plan failed: %s" app.Registry.name (Pmdp_error.to_string e);
-      exit 1
+  match Hashtbl.find_opt plans app.Registry.name with
+  | Some planned -> planned
+  | None -> (
+      let p = app.Registry.build ~scale in
+      let config = Pmdp_core.Cost_model.default_config Machine.xeon in
+      let spec = Scheduler.schedule (Scheduler.for_pipeline Scheduler.Dp p) config p in
+      match Tiled_exec.plan_result spec with
+      | Ok plan ->
+          Hashtbl.replace plans app.Registry.name (p, spec, plan);
+          (p, spec, plan)
+      | Error e ->
+          fail "%s: plan failed: %s" app.Registry.name (Pmdp_error.to_string e);
+          exit 1)
 
 (* 1. The sweep: every app executes natively, bitwise equal to the
    reference. *)
@@ -78,6 +91,143 @@ let sweep backend =
           if d <> 0.0 then fail "%s: resilient native diverges: max abs %g" app.Registry.name d);
       Native_exec.uninstall ())
     Registry.all
+
+let bits_equal (a : float array) (b : float array) =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+(* The kernels read inputs in place, so an input still in the minor
+   heap would move if another thread promoted it while the runtime
+   lock is released.  Fresh inputs of several seeds run while a second
+   thread calls Gc.minor in a loop, after a random pause so that a
+   promotion can land in any group call, and then overwrites the
+   emptied minor heap with NaNs.  camera_pipe's 12-element matrix is
+   young in every fresh input set but read only by a late group, so a
+   missing promotion shows in a few percent of its runs: hence its
+   many repetitions.  Every result must be bitwise the reference's,
+   every input unchanged. *)
+let churn backend =
+  Printf.printf "minor-GC churn during native calls:\n%!";
+  let seeds = [ 1; 2; 3; 4; 5 ] in
+  let cases =
+    List.map
+      (fun (name, reps) ->
+        let app = Registry.find_exn name in
+        let p, _spec, plan = plan_of app in
+        let references =
+          List.map (fun seed -> (seed, Reference.run p ~inputs:(app.Registry.inputs ~seed p))) seeds
+        in
+        (app, p, plan, references, reps))
+      [ ("camera_pipe", 40); ("interpolate", 8); ("local_laplacian", 8) ]
+  in
+  let stop = Atomic.make false in
+  let churner =
+    Thread.create
+      (fun () ->
+        let rng = Random.State.make [| 1 |] in
+        while not (Atomic.get stop) do
+          Unix.sleepf (Random.State.float rng 0.002);
+          Gc.minor ();
+          for _ = 1 to 512 do
+            ignore (Sys.opaque_identity (Array.make 32 Float.nan))
+          done
+        done)
+      ()
+  in
+  Fun.protect ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join churner)
+  @@ fun () ->
+  List.iter
+    (fun ((app : Registry.app), p, plan, references, reps) ->
+      let name = app.Registry.name in
+      let wrong = ref 0 and touched = ref 0 in
+      List.iter
+        (fun (seed, reference) ->
+          for _ = 1 to reps do
+            let inputs = app.Registry.inputs ~seed p in
+            let before = List.map (fun (n, (b : Buffer.t)) -> (n, Array.copy b.Buffer.data)) inputs in
+            let results = Native_exec.run backend plan ~workers:2 ~inputs in
+            if Reference.max_abs_diff ~reference results <> 0.0 then incr wrong;
+            if
+              not
+                (List.for_all
+                   (fun (n, (b : Buffer.t)) -> bits_equal (List.assoc n before) b.Buffer.data)
+                   inputs)
+            then incr touched
+          done)
+        references;
+      let runs = List.length seeds * reps in
+      if !wrong > 0 then fail "%s: %d of %d runs under churn diverge" name !wrong runs;
+      if !touched > 0 then fail "%s: %d of %d runs changed an input" name !touched runs;
+      if !wrong = 0 && !touched = 0 then
+        Printf.printf "  ok   %-16s %d runs bitwise, inputs intact\n%!" name runs)
+    cases
+
+(* A steady run allocates its live-outs and little else: no copy of
+   an input, no mirror of a live-out, no re-digest of the plan.  Words
+   are counted as Gc.quick_stat's minor + major - promoted, but read
+   with Gc.counters after a minor collection: on OCaml 5.1 quick_stat
+   lags both by up to a minor heap and a major slice, which is noise
+   at the scale of one run. *)
+let allocation backend =
+  Printf.printf "steady native allocation (words allocated / live-out words):\n%!";
+  let words () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  List.iter
+    (fun (app : Registry.app) ->
+      let p, _spec, plan = plan_of app in
+      let inputs = app.Registry.inputs ~seed:1 p in
+      ignore (Native_exec.run backend plan ~workers:2 ~inputs);
+      let w0 = words () in
+      let results = Native_exec.run backend plan ~workers:2 ~inputs in
+      let allocated = words () -. w0 in
+      let liveout =
+        List.fold_left (fun acc (_, b) -> acc + Buffer.size b) 0 results |> float_of_int
+      in
+      let ratio = allocated /. liveout in
+      if ratio < 1.5 then Printf.printf "  ok   %-16s %.2fx\n%!" app.Registry.name ratio
+      else fail "%s: a steady run allocates %.2fx its live-outs (want < 1.5x)" app.Registry.name ratio)
+    Registry.benchmarks
+
+(* The native step needs the working set plus one scratch arena per
+   thread, not a second copy of the working set: a budget between the
+   two figures must let it answer undegraded. *)
+let budget backend =
+  Printf.printf "native memory budget:\n%!";
+  let app = Registry.find_exn "harris" in
+  let p, _spec, plan = plan_of app in
+  let inputs = app.Registry.inputs ~seed:1 p in
+  let reference = Reference.run p ~inputs in
+  let input_bytes = List.fold_left (fun acc (_, b) -> acc + (Buffer.size b * 8)) 0 inputs in
+  let resident = input_bytes + Tiled_exec.working_set_bytes plan in
+  let needed = resident + Tiled_exec.scratch_bytes_per_worker plan in
+  if needed >= 2 * resident then
+    fail "budget: harris needs %d bytes, not below twice its working set (%d)" needed
+      (2 * resident)
+  else begin
+    let mem_budget = (needed + (2 * resident)) / 2 in
+    Native_exec.install backend;
+    (match Resilient.run_plan ~machine:Machine.xeon ~mem_budget plan ~inputs with
+    | Error e -> fail "budget: run failed: %s" (Pmdp_error.to_string e)
+    | Ok { Resilient.results; degraded; attempts } -> (
+        let answered =
+          match List.rev attempts with
+          | (step, None) :: _ -> Resilient.step_name step = "native"
+          | _ -> false
+        in
+        let bitwise = Reference.max_abs_diff ~reference results = 0.0 in
+        if degraded then fail "budget: run under %d bytes marked degraded" mem_budget;
+        if not answered then fail "budget: native was not the answering step";
+        if not bitwise then fail "budget: result diverges from the reference";
+        if answered && bitwise && not degraded then
+          Printf.printf "  ok   native runs undegraded in %d bytes (working set %d)\n%!"
+            mem_budget resident));
+    Native_exec.uninstall ()
+  end
 
 (* 2/3. Cache lifecycle on one app: cold compile, warm restart served
    from disk, corrupted object quarantined and recompiled, failed
@@ -225,7 +375,11 @@ let () =
   | Some tc ->
       Printf.printf "toolchain: %s (openmp: %b)\n%!" tc.Toolchain.version tc.Toolchain.openmp;
       let dir = temp_dir "pmdp_kernel_sweep" in
-      sweep (Native_exec.create ~cache_dir:dir ());
+      let backend = Native_exec.create ~cache_dir:dir () in
+      sweep backend;
+      churn backend;
+      allocation backend;
+      budget backend;
       cache_lifecycle ();
       fallbacks ());
   if !failed then exit 1;
