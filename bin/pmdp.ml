@@ -174,6 +174,39 @@ let inject_conv =
         Format.fprintf ppf "%s"
           (String.concat "," (List.map Pmdp_runtime.Fault.spec_to_string specs)) )
 
+(* The per-group execution profile of one resilient run: each group's
+   measurements beside the model's prediction, then the fallback chain
+   and, when tracing, the counter totals. *)
+let pp_profile ~pipeline ~workers ~predicted ~counters ppf (o : Pmdp_exec.Resilient.outcome) =
+  let groups = o.Pmdp_exec.Resilient.groups in
+  let total =
+    List.fold_left
+      (fun acc (g : Pmdp_exec.Tiled_exec.group_stats) -> acc +. g.wall_seconds)
+      0.0 groups
+  in
+  Format.fprintf ppf "@[<v>%s: %.3f ms over %d groups, %d workers%s@," pipeline
+    (total *. 1000.0) (List.length groups) workers
+    (if o.degraded then "  [DEGRADED]" else "");
+  List.iter
+    (fun (g : Pmdp_exec.Tiled_exec.group_stats) ->
+      Format.fprintf ppf
+        "  group %d {%s}: %d tiles, %.3f ms, occupancy %d/%d, scratch %d B, copy-out %d B%s@,"
+        g.index (String.concat "," g.stages) g.tiles (g.wall_seconds *. 1000.0) g.occupancy
+        workers g.scratch_bytes g.copy_out_bytes
+        (match List.find_opt (fun (gi, _, _) -> gi = g.index) predicted with
+        | Some (_, _, c) -> Printf.sprintf ", predicted %.4g" c
+        | None -> ""))
+    groups;
+  List.iter
+    (fun (st, err) ->
+      let name = Pmdp_exec.Resilient.step_name st in
+      match err with
+      | None -> Format.fprintf ppf "  step %s: ok@," name
+      | Some e -> Format.fprintf ppf "  step %s: FAILED (%s)@," name (Pmdp_util.Pmdp_error.to_string e))
+    o.attempts;
+  List.iter (fun (name, v) -> Format.fprintf ppf "  counter %s = %d@," name v) counters;
+  Format.fprintf ppf "@]"
+
 let run_cmd =
   let doc =
     "Execute a schedule through the resilient driver (fallback chain, memory budget, optional \
@@ -187,44 +220,22 @@ let run_cmd =
     trace_begin trace;
     if native then Pmdp_kernel.Native_exec.install (Pmdp_kernel.Native_exec.create ());
     let pool = if workers > 1 then Some (Pool.create workers) else None in
-    let collector =
-      Pmdp_report.Profile.collector ~pipeline:pipeline.Pmdp_dsl.Pipeline.name ~workers
-    in
-    (* --profile prints predicted cost next to measured wall per group;
-       the predictions come from the same config the schedule was
-       built under. *)
-    if profile then begin
-      let config = Pmdp_core.Cost_model.config_of_machine machine in
-      Pmdp_report.Profile.set_predicted collector
-        (List.filteri
-           (fun _ (_, c) -> Float.is_finite c)
-           (List.mapi
-              (fun i (g : Pmdp_core.Schedule_spec.group) ->
-                match
-                  Pmdp_core.Cost_model.group_features config pipeline
-                    ~stages:g.Pmdp_core.Schedule_spec.stages
-                    ~tile:g.Pmdp_core.Schedule_spec.tile_sizes
-                with
-                | Some f -> (i, Pmdp_core.Cost_model.predict config f)
-                | None -> (i, Float.nan))
-              sched.Pmdp_core.Schedule_spec.groups))
-    end;
     let fault = Option.map (fun specs -> Pmdp_runtime.Fault.create ~seed specs) inject in
     let t0 = Unix.gettimeofday () in
     let outcome =
-      Pmdp_exec.Resilient.run ?pool ?sched:pool_sched ~profile:collector ~machine ?mem_budget
-        ?fault ?timeout sched ~inputs
+      Pmdp_exec.Resilient.run ?pool ?sched:pool_sched ~machine ?mem_budget ?fault ?timeout sched
+        ~inputs
     in
     let elapsed = Unix.gettimeofday () -. t0 in
     Option.iter Pool.shutdown pool;
     if native then Pmdp_kernel.Native_exec.uninstall ();
-    if Trace.on () then Pmdp_report.Profile.set_counters collector (Trace.counter_totals ());
+    let counters = if Trace.on () then Trace.counter_totals () else [] in
     trace_end trace;
     match outcome with
     | Error e ->
         Format.eprintf "pmdp run: %a@." Pmdp_util.Pmdp_error.pp e;
         exit 1
-    | Ok { Pmdp_exec.Resilient.results; degraded; attempts } ->
+    | Ok ({ Pmdp_exec.Resilient.results; degraded; attempts; _ } as outcome) ->
         let worst =
           Pmdp_exec.Reference.(max_abs_diff ~reference:(run pipeline ~inputs) results)
         in
@@ -246,8 +257,18 @@ let run_cmd =
                 (Pmdp_exec.Resilient.step_name st)
                 (match err with None -> "ok" | Some e -> Pmdp_util.Pmdp_error.to_string e))
             attempts;
-        if profile then
-          Format.printf "%a@." Pmdp_report.Profile.pp (Pmdp_report.Profile.result collector);
+        if profile then begin
+          (* the predictions come from the config the schedule was
+             built under *)
+          let predicted =
+            Pmdp_bench.Runner.group_predictions
+              (Pmdp_core.Cost_model.config_of_machine machine)
+              sched
+          in
+          Format.printf "%a@."
+            (pp_profile ~pipeline:pipeline.Pmdp_dsl.Pipeline.name ~workers ~predicted ~counters)
+            outcome
+        end;
         if worst <> 0.0 then exit 1
   in
   let workers_t = Arg.(value & opt int 1 & info [ "workers"; "j" ] ~doc:"Worker domains.") in
@@ -501,8 +522,8 @@ let check_cmd =
             let pipeline = app.Registry.build ~scale in
             List.iter
               (fun scheduler ->
-                (* Full DP is exponential in practice on the big pipelines;
-                   use the incremental variant there, as the tests do. *)
+                (* The dispatch already runs dp-inc for dp on a large
+                   pipeline; resolving here only names it in the report. *)
                 let scheduler = Scheduler.for_pipeline scheduler pipeline in
                 let ds, digest =
                   match make_schedule scheduler machine pipeline with

@@ -62,7 +62,7 @@ let () =
   Format.printf "@.DP chose (%d states explored):@.%a@."
     outcome.Pmdp_core.Dp_grouping.enumerated Pmdp_core.Schedule_spec.pp sched;
   let img = Pmdp_apps.Images.gray "img" ~rows ~cols in
-  let results = Pmdp_exec.Tiled_exec.run (Pmdp_exec.Tiled_exec.plan sched) ~inputs:[ ("img", img) ] in
+  let results, _ = Pmdp_exec.Tiled_exec.run (Pmdp_exec.Tiled_exec.plan sched) ~inputs:[ ("img", img) ] in
   let reference = Pmdp_exec.Reference.run pipeline ~inputs:[ ("img", img) ] in
   Format.printf "max |diff| vs reference: %g@."
     (Pmdp_exec.Buffer.max_abs_diff (List.assoc "result" results) (List.assoc "result" reference))

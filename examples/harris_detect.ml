@@ -12,7 +12,7 @@
 let time_schedule schedule inputs =
   let plan = Pmdp_exec.Tiled_exec.plan schedule in
   let t0 = Unix.gettimeofday () in
-  let results = Pmdp_exec.Tiled_exec.run plan ~inputs in
+  let results, _ = Pmdp_exec.Tiled_exec.run plan ~inputs in
   (Unix.gettimeofday () -. t0, results)
 
 let () =

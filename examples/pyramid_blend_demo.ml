@@ -37,7 +37,7 @@ let () =
   let sched = Pmdp_core.Schedule_spec.of_grouping config pipeline full.Pmdp_core.Dp_grouping.groups in
   let plan = Pmdp_exec.Tiled_exec.plan sched in
   let t0 = Unix.gettimeofday () in
-  let results = Pmdp_exec.Tiled_exec.run plan ~inputs in
+  let results, _ = Pmdp_exec.Tiled_exec.run plan ~inputs in
   let dp_time = Unix.gettimeofday () -. t0 in
   let reference = Pmdp_exec.Reference.run pipeline ~inputs in
   let diff =
@@ -50,7 +50,7 @@ let () =
   (* Compare with the expert manual schedule. *)
   let manual = Pmdp_baselines.Manual.schedule pipeline in
   let t0 = Unix.gettimeofday () in
-  let mres = Pmdp_exec.Tiled_exec.run (Pmdp_exec.Tiled_exec.plan manual) ~inputs in
+  let mres, _ = Pmdp_exec.Tiled_exec.run (Pmdp_exec.Tiled_exec.plan manual) ~inputs in
   let m_time = Unix.gettimeofday () -. t0 in
   Format.printf "  manual schedule (%d groups): %.1f ms, agrees=%b@."
     (Pmdp_core.Schedule_spec.n_groups manual) (m_time *. 1000.0)

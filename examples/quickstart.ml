@@ -34,7 +34,7 @@ let () =
   let inputs = Pmdp_apps.Blur.inputs pipeline in
   let plan = Pmdp_exec.Tiled_exec.plan schedule in
   let t0 = Unix.gettimeofday () in
-  let results = Pmdp_exec.Tiled_exec.run plan ~inputs in
+  let results, _ = Pmdp_exec.Tiled_exec.run plan ~inputs in
   let tiled_time = Unix.gettimeofday () -. t0 in
   let reference = Pmdp_exec.Reference.run pipeline ~inputs in
   let out = List.assoc "blury" results in
@@ -46,6 +46,6 @@ let () =
   (* 5. Same schedule on a persistent worker pool (domains are spawned
      once; with_pool joins them on the way out). *)
   Pmdp_runtime.Pool.with_pool 4 (fun pool ->
-      let par = Pmdp_exec.Tiled_exec.run ~pool plan ~inputs in
+      let par, _ = Pmdp_exec.Tiled_exec.run ~pool plan ~inputs in
       Format.printf "parallel run agrees: %b@."
         (Pmdp_exec.Buffer.max_abs_diff (List.assoc "blury" par) expected = 0.0))

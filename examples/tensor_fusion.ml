@@ -81,7 +81,7 @@ let () =
   in
   let inputs = [ ("x", x); ("w", vec "w"); ("bias", vec "bias") ] in
   let t0 = Unix.gettimeofday () in
-  let results = Pmdp_exec.Tiled_exec.run (Pmdp_exec.Tiled_exec.plan sched) ~inputs in
+  let results, _ = Pmdp_exec.Tiled_exec.run (Pmdp_exec.Tiled_exec.plan sched) ~inputs in
   let elapsed = Unix.gettimeofday () -. t0 in
   let reference = Pmdp_exec.Reference.run p ~inputs in
   let out = List.assoc "output" results in

@@ -10,7 +10,6 @@ module Buffer = Pmdp_exec.Buffer
 module Trace = Pmdp_trace.Trace
 module Pool = Pmdp_runtime.Pool
 module Registry = Pmdp_apps.Registry
-module Profile = Pmdp_report.Profile
 module Json = Pmdp_report.Json
 
 (* One row of the calibration corpus: what the model predicted for a
@@ -39,7 +38,9 @@ type outcome = {
   max_abs_diff : float;  (** vs {!Reference.run}; 0.0 = bitwise valid *)
   n_groups : int;
   n_tiles : int;
-  profile : Profile.t;  (** of the last rep *)
+  groups : Tiled_exec.group_stats list;  (** of the last rep *)
+  attempts : (Resilient.step * Pmdp_util.Pmdp_error.t option) list;  (** of the last rep *)
+  counters : (string * int) list;  (** trace counter delta over the case *)
   failure : string option;  (** rendered typed error of a dead rep *)
   degraded : bool;  (** some rep needed a resilience fallback step *)
   group_costs : group_cost list;  (** predicted vs measured per group (schema v3) *)
@@ -57,6 +58,18 @@ let counter_delta ~before after =
     after
 
 let median_of sorted = List.nth sorted (List.length sorted / 2)
+
+let group_predictions config (spec : Schedule_spec.t) =
+  List.concat
+    (List.mapi
+       (fun gi (g : Schedule_spec.group) ->
+         match
+           Cost_model.group_features config spec.Schedule_spec.pipeline
+             ~stages:g.Schedule_spec.stages ~tile:g.Schedule_spec.tile_sizes
+         with
+         | None -> []
+         | Some f -> [ (gi, f, Cost_model.predict config f) ])
+       spec.Schedule_spec.groups)
 
 (* Reconstructed [w]-way wall-clock of one sequential-timed run:
    groups are barriers, tiles within a group distribute under the
@@ -107,56 +120,46 @@ let run_spec ?pool_sched ?(log = fun _ -> ()) ~reps ~machine ~workers ~scheduler
                reps)
            timings
        in
-       List.mapi
-         (fun gi (g : Schedule_spec.group) ->
-           match
-             Cost_model.group_features config p ~stages:g.Schedule_spec.stages
-               ~tile:g.Schedule_spec.tile_sizes
-           with
-           | None -> None
-           | Some f -> (
-               let per_rep = List.filter_map (fun rep -> List.nth_opt rep gi) walls_per_rep in
-               match List.sort compare per_rep with
-               | [] -> None
-               | sorted ->
-                   Some
-                     {
-                       gc_group = gi;
-                       gc_features = f;
-                       gc_predicted = Cost_model.predict config f;
-                       gc_wall = median_of sorted;
-                     }))
-         spec.Schedule_spec.groups
-       |> List.filter_map Fun.id)
+       List.filter_map
+         (fun (gi, f, predicted) ->
+           let per_rep = List.filter_map (fun rep -> List.nth_opt rep gi) walls_per_rep in
+           match List.sort compare per_rep with
+           | [] -> None
+           | sorted ->
+               Some
+                 {
+                   gc_group = gi;
+                   gc_features = f;
+                   gc_predicted = predicted;
+                   gc_wall = median_of sorted;
+                 })
+         (group_predictions config spec))
   in
   List.map
     (fun w ->
-      let collector = Profile.collector ~pipeline:p.Pipeline.name ~workers:w in
       let host_walls = ref [] and diff = ref 0.0 in
       let failure = ref None and degraded = ref false in
       let backend = ref "none" in
+      let last = ref ([], []) in
       (* Reps run through the resilient driver sharing the one
-         plan, so a dying rep records which fallback step it
-         reached (Profile.steps / the case's "resilience" JSON)
-         instead of just a rendered error string. *)
+         plan, so each records which fallback steps it took (the
+         case's "resilience" JSON). *)
       let one_rep rep pool =
-        Profile.clear collector;
         let t0 = Unix.gettimeofday () in
-        match
-          Resilient.run_plan ?pool ?sched:pool_sched ~profile:collector ~machine plan
-            ~inputs
-        with
-        | Ok { Resilient.results; degraded = d; attempts } ->
+        match Resilient.run_plan ?pool ?sched:pool_sched ~machine plan ~inputs with
+        | Ok { Resilient.results; degraded = d; attempts; groups } ->
             host_walls := (Unix.gettimeofday () -. t0) :: !host_walls;
             if d then degraded := true;
             (match List.rev attempts with
             | (st, None) :: _ -> backend := Resilient.step_name st
             | _ -> ());
+            last := (groups, attempts);
             diff := Float.max !diff (Reference.max_abs_diff ~reference results)
         | Error e ->
             (* Record the case as failed and move on: one broken
                schedule must not take the whole sweep down. *)
             ignore rep;
+            last := ([], []);
             failure := Some (Pmdp_util.Pmdp_error.to_string e)
       in
       let measure pool =
@@ -178,9 +181,10 @@ let run_spec ?pool_sched ?(log = fun _ -> ()) ~reps ~machine ~workers ~scheduler
       in
       let totals_before = if Trace.on () then Trace.counter_totals () else [] in
       if w > 1 then Pool.with_pool w (fun pool -> measure (Some pool)) else measure None;
-      if Trace.on () then
-        Profile.set_counters collector
-          (counter_delta ~before:totals_before (Trace.counter_totals ()));
+      let counters =
+        if Trace.on () then counter_delta ~before:totals_before (Trace.counter_totals ())
+        else []
+      in
       let host_wall_seconds = List.rev !host_walls in
       (* Native kernels parallelize with real OS threads inside the
          shared object, so their host wall-clock is the effective
@@ -208,9 +212,7 @@ let run_spec ?pool_sched ?(log = fun _ -> ()) ~reps ~machine ~workers ~scheduler
       let sorted =
         match List.sort compare wall_seconds with [] -> [ Float.nan ] | s -> s
       in
-      let gcs = Lazy.force group_costs in
-      Profile.set_predicted collector
-        (List.map (fun gc -> (gc.gc_group, gc.gc_predicted)) gcs);
+      let groups, attempts = !last in
       let o =
         {
           app_name = p.Pipeline.name;
@@ -226,10 +228,12 @@ let run_spec ?pool_sched ?(log = fun _ -> ()) ~reps ~machine ~workers ~scheduler
           max_abs_diff = !diff;
           n_groups;
           n_tiles;
-          profile = Profile.result collector;
+          groups;
+          attempts;
+          counters;
           failure = !failure;
           degraded = !degraded;
-          group_costs = gcs;
+          group_costs = Lazy.force group_costs;
         }
       in
       log
@@ -276,6 +280,48 @@ let json_of_group_cost gc =
       ("median_wall_seconds", Json.Float gc.gc_wall);
     ]
 
+(* The execution profile of the case's last rep: its groups beside the
+   model's predictions, its fallback chain, and the case's counters. *)
+let json_of_profile o =
+  let group_json (g : Tiled_exec.group_stats) =
+    Json.Obj
+      ([
+         ("group", Json.Int g.index);
+         ("stages", Json.List (List.map (fun s -> Json.String s) g.stages));
+         ("tiles", Json.Int g.tiles);
+         ("occupancy", Json.Int g.occupancy);
+         ("scratch_bytes", Json.Int g.scratch_bytes);
+         ("copy_out_bytes", Json.Int g.copy_out_bytes);
+         ("wall_seconds", Json.Float g.wall_seconds);
+       ]
+      @
+      match List.find_opt (fun gc -> gc.gc_group = g.index) o.group_costs with
+      | Some gc -> [ ("predicted_cost", Json.Float gc.gc_predicted) ]
+      | None -> [])
+  in
+  let step_json (st, err) =
+    Json.Obj
+      [
+        ("step", Json.String (Resilient.step_name st));
+        ( "error",
+          match err with None -> Json.Null | Some e -> Json.String (Pmdp_util.Pmdp_error.to_string e)
+        );
+      ]
+  in
+  Json.Obj
+    [
+      ("pipeline", Json.String o.app_name);
+      ("workers", Json.Int o.workers);
+      ( "total_seconds",
+        Json.Float
+          (List.fold_left (fun acc (g : Tiled_exec.group_stats) -> acc +. g.wall_seconds) 0.0 o.groups)
+      );
+      ("degraded", Json.Bool (List.exists (fun (_, e) -> e <> None) o.attempts));
+      ("resilience", Json.List (List.map step_json o.attempts));
+      ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) o.counters));
+      ("groups", Json.List (List.map group_json o.groups));
+    ]
+
 let json_of_outcome o =
   Json.Obj
     [
@@ -295,7 +341,7 @@ let json_of_outcome o =
       ("n_tiles", Json.Int o.n_tiles);
       ("failure", match o.failure with None -> Json.Null | Some e -> Json.String e);
       ("degraded", Json.Bool o.degraded);
-      ("profile", Profile.to_json o.profile);
+      ("profile", json_of_profile o);
       ("group_costs", Json.List (List.map json_of_group_cost o.group_costs));
     ]
 

@@ -1,9 +1,9 @@
 (** Real-pool benchmark runner behind both `pmdp bench` and the
     `bench/` harness: app x scheduler x worker-count cases, every
     repetition checked bitwise against {!Pmdp_exec.Reference.run}
-    ({!Pmdp_exec.Reference.max_abs_diff}), with the executor's
-    per-group {!Pmdp_report.Profile} attached, serialized to the
-    repository's [BENCH_<machine>.json] trajectory files. *)
+    ({!Pmdp_exec.Reference.max_abs_diff}), with the last repetition's
+    per-group {!Pmdp_exec.Tiled_exec.group_stats} attached, serialized
+    to the repository's [BENCH_<machine>.json] trajectory files. *)
 
 type group_cost = {
   gc_group : int;  (** group position in the schedule *)
@@ -43,12 +43,20 @@ type outcome = {
           vs the reference executor; 0.0 = bitwise valid *)
   n_groups : int;
   n_tiles : int;
-  profile : Pmdp_report.Profile.t;  (** of the last rep *)
+  groups : Pmdp_exec.Tiled_exec.group_stats list;
+      (** the last rep's {!Pmdp_exec.Resilient.outcome} [groups]; [[]]
+          when that rep answered natively or from the reference, or
+          died *)
+  attempts : (Pmdp_exec.Resilient.step * Pmdp_util.Pmdp_error.t option) list;
+      (** the last rep's fallback chain; [[]] when it died *)
+  counters : (string * int) list;
+      (** the case's delta of {!Pmdp_trace.Trace.counter_totals} when
+          tracing, else [[]] *)
   failure : string option;
-      (** [Some e] when every fallback step of a repetition died: the
-          case is recorded as invalid (with the chain in
-          [profile.steps]) instead of taking the whole benchmark sweep
-          down *)
+      (** [Some e] when a repetition returned a typed error (every
+          fallback step died, or the working set exceeds the budget):
+          the case is recorded as invalid instead of taking the whole
+          benchmark sweep down *)
   degraded : bool;
       (** some repetition completed only via a
           {!Pmdp_exec.Resilient} fallback step *)
@@ -56,6 +64,15 @@ type outcome = {
       (** predicted-vs-measured per group (empty when the timed run
           died or no group analyzed) *)
 }
+
+val group_predictions :
+  Pmdp_core.Cost_model.config ->
+  Pmdp_core.Schedule_spec.t ->
+  (int * Pmdp_core.Cost_model.features * float) list
+(** Group index, model features and predicted cost of each group's
+    chosen tile, in group order; groups the model cannot analyze are
+    left out.  The predictions [pmdp run --profile] and the bench
+    JSON print beside each group's measured wall. *)
 
 val valid : outcome -> bool
 (** Bitwise equality with the reference executor and no typed

@@ -2,7 +2,6 @@ module Pipeline = Pmdp_dsl.Pipeline
 module Stage = Pmdp_dsl.Stage
 module Expr = Pmdp_dsl.Expr
 module Rational = Pmdp_util.Rational
-module Group_analysis = Pmdp_analysis.Group_analysis
 module Footprint = Pmdp_analysis.Footprint
 module Schedule_spec = Pmdp_core.Schedule_spec
 
@@ -56,6 +55,7 @@ let eval_coord coord vars mid =
 
 let run ?max_tiles (spec : Schedule_spec.t) ~hierarchy =
   let p = spec.Schedule_spec.pipeline in
+  let ir = Pmdp_plan.of_spec spec in
   (* Assign full-buffer address ranges: inputs first, then each
      group's live-outs in schedule order. *)
   let next = ref 0 in
@@ -70,34 +70,25 @@ let run ?max_tiles (spec : Schedule_spec.t) ~hierarchy =
       Hashtbl.replace full i.Pipeline.in_name
         (region_of_dims (alloc (dims_size i.Pipeline.in_dims * bytes_per_elem)) i.Pipeline.in_dims))
     p.Pipeline.inputs;
-  let groups =
-    List.map
-      (fun (g : Schedule_spec.group) ->
-        let ga =
-          match Group_analysis.analyze p g.Schedule_spec.stages with
-          | Ok ga -> ga
-          | Error _ -> invalid_arg "Trace_exec.run: group failed analysis"
-        in
-        (ga, Footprint.clamp_tile ga g.Schedule_spec.tile_sizes))
-      spec.Schedule_spec.groups
-  in
-  List.iter
-    (fun ((ga : Group_analysis.t), _) ->
-      Array.iteri
-        (fun m sid ->
-          if ga.Group_analysis.liveouts.(m) then begin
-            let stage = Pipeline.stage p sid in
+  Array.iter
+    (fun (g : Pmdp_plan.group) ->
+      Array.iter
+        (fun (m : Pmdp_plan.member) ->
+          if m.Pmdp_plan.liveout then begin
+            let stage = Pipeline.stage p m.Pmdp_plan.sid in
             Hashtbl.replace full stage.Stage.name
               (region_of_dims (alloc (dims_size stage.Stage.dims * bytes_per_elem)) stage.Stage.dims)
           end)
-        ga.Group_analysis.members)
-    groups;
+        g.Pmdp_plan.members)
+    ir.Pmdp_plan.groups;
   (* Trace each group. *)
-  List.iter
-    (fun ((ga : Group_analysis.t), tile) ->
-      let nd = ga.Group_analysis.n_dims in
-      let n_members = Array.length ga.Group_analysis.members in
-      let stages = Array.map (Pipeline.stage p) ga.Group_analysis.members in
+  Array.iter
+    (fun (g : Pmdp_plan.group) ->
+      let nd = g.Pmdp_plan.n_dims in
+      let tile = g.Pmdp_plan.tile in
+      let members = g.Pmdp_plan.members in
+      let n_members = Array.length members in
+      let stages = Array.map (fun (m : Pmdp_plan.member) -> Pipeline.stage p m.Pmdp_plan.sid) members in
       let member_of_name name =
         let rec go m =
           if m = n_members then None
@@ -106,23 +97,14 @@ let run ?max_tiles (spec : Schedule_spec.t) ~hierarchy =
         in
         go 0
       in
-      (* Scratch arenas (reused across tiles), sized for the largest
-         possible region of each non-live-out member. *)
-      let arena_base = Array.make n_members 0 in
-      Array.iteri
-        (fun m (stage : Stage.t) ->
-          if not ga.Group_analysis.liveouts.(m) then begin
-            let size = ref 1 in
-            Array.iteri
-              (fun k (_ : Stage.dim) ->
-                let g = ga.Group_analysis.dim_of_stage.(m).(k) in
-                let s = ga.Group_analysis.scales.(m).(g) in
-                let elo, ehi = ga.Group_analysis.expansions.(m).(g) in
-                size := !size * (ceil_div (tile.(g) + elo + ehi) s + 2))
-              stage.Stage.dims;
-            arena_base.(m) <- alloc (!size * bytes_per_elem)
-          end)
-        stages;
+      (* Scratch arenas (reused across tiles), sized as the executor
+         sizes them, for each non-live-out member. *)
+      let arena_base =
+        Array.map
+          (fun (m : Pmdp_plan.member) ->
+            if m.Pmdp_plan.liveout then 0 else alloc (m.Pmdp_plan.max_scratch * bytes_per_elem))
+          members
+      in
       (* Per-member loads with pre-resolved targets. *)
       let loads =
         Array.map
@@ -132,12 +114,8 @@ let run ?max_tiles (spec : Schedule_spec.t) ~hierarchy =
                  (Stage.body_expr stage)))
           stages
       in
-      let tiles_per_dim =
-        Array.init nd (fun d ->
-            let extent = Group_analysis.dim_extent ga d in
-            (extent + tile.(d) - 1) / tile.(d))
-      in
-      let n_tiles = Array.fold_left ( * ) 1 tiles_per_dim in
+      let tiles_per_dim = g.Pmdp_plan.tiles_per_dim in
+      let n_tiles = g.Pmdp_plan.n_tiles in
       let n_trace = match max_tiles with None -> n_tiles | Some m -> min m n_tiles in
       let regions : region array = Array.make n_members { base = 0; lo = [||]; hi = [||]; stride = [||] } in
       for t = 0 to n_trace - 1 do
@@ -147,25 +125,25 @@ let run ?max_tiles (spec : Schedule_spec.t) ~hierarchy =
         for d = nd - 1 downto 0 do
           let tc = !rem mod tiles_per_dim.(d) in
           rem := !rem / tiles_per_dim.(d);
-          tlo.(d) <- ga.Group_analysis.dim_lo.(d) + (tc * tile.(d));
-          thi.(d) <- min (tlo.(d) + tile.(d) - 1) ga.Group_analysis.dim_hi.(d)
+          tlo.(d) <- g.Pmdp_plan.dim_lo.(d) + (tc * tile.(d));
+          thi.(d) <- min (tlo.(d) + tile.(d) - 1) g.Pmdp_plan.dim_hi.(d)
         done;
         for m = 0 to n_members - 1 do
           let stage = stages.(m) in
           let own_nd = Stage.ndims stage in
           let own_lo = Array.make own_nd 0 and own_hi = Array.make own_nd 0 in
           for k = 0 to own_nd - 1 do
-            let g = ga.Group_analysis.dim_of_stage.(m).(k) in
-            let s = ga.Group_analysis.scales.(m).(g) in
-            let elo, ehi = ga.Group_analysis.expansions.(m).(g) in
+            let d = g.Pmdp_plan.dim_of_stage.(m).(k) in
+            let s = g.Pmdp_plan.scales.(m).(d) in
+            let elo, ehi = g.Pmdp_plan.expansions.(m).(d) in
             let dim = stage.Stage.dims.(k) in
             let dlo = dim.Stage.lo and dhi = dim.Stage.lo + dim.Stage.extent - 1 in
             let clamp x = if x < dlo then dlo else if x > dhi then dhi else x in
-            own_lo.(k) <- clamp (floor_div (tlo.(g) - elo) s);
-            own_hi.(k) <- clamp (ceil_div (thi.(g) + ehi) s)
+            own_lo.(k) <- clamp (floor_div (tlo.(d) - elo) s);
+            own_hi.(k) <- clamp (ceil_div (thi.(d) + ehi) s)
           done;
           let region =
-            if ga.Group_analysis.liveouts.(m) then
+            if members.(m).Pmdp_plan.liveout then
               (* live-outs write the full buffer; reads by in-group
                  consumers hit the same addresses *)
               Hashtbl.find full stage.Stage.name
@@ -234,4 +212,4 @@ let run ?max_tiles (spec : Schedule_spec.t) ~hierarchy =
           go 0
         done
       done)
-    groups
+    ir.Pmdp_plan.groups

@@ -18,6 +18,9 @@ val run :
   Pmdp_core.Schedule_spec.t ->
   hierarchy:Hierarchy.t ->
   unit
-(** Trace the whole schedule into the hierarchy.  [max_tiles] caps
-    the number of tiles traced per group (default: all), since cache
-    fractions converge after a modest number of tiles. *)
+(** Trace the whole schedule into the hierarchy, walking the groups of
+    its lowered plan ({!Pmdp_plan.of_spec}): their clamped tiles, tile
+    counts and arena sizes are the executor's.  [max_tiles] caps the
+    number of tiles traced per group (default: all), since cache
+    fractions converge after a modest number of tiles.
+    @raise Pmdp_util.Pmdp_error.Error when the schedule does not lower. *)

@@ -1,6 +1,5 @@
 module Pool = Pmdp_runtime.Pool
 module Fault = Pmdp_runtime.Fault
-module Profile = Pmdp_report.Profile
 module Machine = Pmdp_machine.Machine
 module Pmdp_error = Pmdp_util.Pmdp_error
 module Trace = Pmdp_trace.Trace
@@ -32,6 +31,7 @@ type outcome = {
   results : (string * Buffer.t) list;
   degraded : bool;
   attempts : (step * Pmdp_error.t option) list;
+  groups : Tiled_exec.group_stats list;
 }
 
 (* Fold any exception an attempt lets escape into the taxonomy; an
@@ -88,7 +88,7 @@ let with_watchdog ?timeout ~cancel context f =
 (* The fallback chain shared by {!run} (plans itself) and {!run_plan}
    (caller supplies the plan).  [planned] carries the plan or the
    typed error planning produced. *)
-let run_chain ?pool ?sched ?profile ?machine ?mem_budget ?fault ?timeout ~planned ~pipeline
+let run_chain ?pool ?sched ?machine ?mem_budget ?fault ?timeout ~planned ~pipeline
     ~inputs () =
   let machine = Option.value machine ~default:Machine.xeon in
   let budget =
@@ -105,22 +105,17 @@ let run_chain ?pool ?sched ?profile ?machine ?mem_budget ?fault ?timeout ~planne
           (match err with
           | None -> [ ("ok", Trace.Bool true) ]
           | Some e -> [ ("error", Trace.Str (Pmdp_error.to_string e)) ]))
-        "resilient.step";
-    Option.iter
-      (fun c ->
-        Profile.add_step c ~name:(step_name st) ~error:(Option.map Pmdp_error.to_string err))
-      profile
+        "resilient.step"
   in
-  let finish results =
+  let finish (results, groups) =
     let degraded = List.exists (fun (_, e) -> e <> None) !attempts in
-    Option.iter (fun c -> Profile.set_degraded c degraded) profile;
-    Ok { results; degraded; attempts = List.rev !attempts }
+    Ok { results; degraded; attempts = List.rev !attempts; groups }
   in
   let input_bytes =
     List.fold_left (fun acc (_, b) -> acc + (Buffer.size b * 8)) 0 inputs
   in
-  (* One strategy of the chain: returns [Some results] to stop,
-     [None] to continue down the chain. *)
+  (* One strategy of the chain: returns [Some (results, groups)] to
+     stop, [None] to continue down the chain. *)
   let attempt st f =
     let cancel = Fault.new_token () in
     let body () =
@@ -140,7 +135,7 @@ let run_chain ?pool ?sched ?profile ?machine ?mem_budget ?fault ?timeout ~planne
         None
   in
   let reference () =
-    attempt Reference_fallback (fun ~cancel:_ -> Reference.run pipeline ~inputs)
+    attempt Reference_fallback (fun ~cancel:_ -> (Reference.run pipeline ~inputs, []))
   in
   match planned with
   | Error e -> (
@@ -196,9 +191,9 @@ let run_chain ?pool ?sched ?profile ?machine ?mem_budget ?fault ?timeout ~planne
                   Fun.protect
                     ~finally:(fun () -> Pool.set_job_hook pool None)
                     (fun () ->
-                      Tiled_exec.run ~pool ?sched ?profile ?fault ~cancel plan ~inputs))
+                      Tiled_exec.run ~pool ?sched ?fault ~cancel plan ~inputs))
           | _ -> attempt Tiled_serial (fun ~cancel ->
-                     Tiled_exec.run ?sched ?profile ?fault ~cancel plan ~inputs)
+                     Tiled_exec.run ?sched ?fault ~cancel plan ~inputs)
         in
         let try_parallel () =
           match pool with
@@ -234,7 +229,7 @@ let run_chain ?pool ?sched ?profile ?machine ?mem_budget ?fault ?timeout ~planne
                 over_budget Native required;
                 None
               end
-              else attempt Native (fun ~cancel:_ -> runner ~plan ~workers ~inputs)
+              else attempt Native (fun ~cancel:_ -> (runner ~plan ~workers ~inputs, []))
         in
         match try_native () with
         | Some r -> finish r
@@ -257,11 +252,11 @@ let run_chain ?pool ?sched ?profile ?machine ?mem_budget ?fault ?timeout ~planne
                              { context = "Resilient"; reason = "no strategy available" })))))
       end)
 
-let run ?pool ?sched ?profile ?machine ?mem_budget ?fault ?timeout spec ~inputs =
-  run_chain ?pool ?sched ?profile ?machine ?mem_budget ?fault ?timeout
+let run ?pool ?sched ?machine ?mem_budget ?fault ?timeout spec ~inputs =
+  run_chain ?pool ?sched ?machine ?mem_budget ?fault ?timeout
     ~planned:(Tiled_exec.plan_result spec)
     ~pipeline:spec.Pmdp_core.Schedule_spec.pipeline ~inputs ()
 
-let run_plan ?pool ?sched ?profile ?machine ?mem_budget ?fault ?timeout plan ~inputs =
-  run_chain ?pool ?sched ?profile ?machine ?mem_budget ?fault ?timeout ~planned:(Ok plan)
+let run_plan ?pool ?sched ?machine ?mem_budget ?fault ?timeout plan ~inputs =
+  run_chain ?pool ?sched ?machine ?mem_budget ?fault ?timeout ~planned:(Ok plan)
     ~pipeline:(Tiled_exec.pipeline plan) ~inputs ()

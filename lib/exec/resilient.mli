@@ -17,9 +17,9 @@
     + [reference] — the unfused reference executor, the correctness
       backstop that needs no plan at all.
 
-    Every step is recorded in the {!Pmdp_report.Profile} collector
-    (and in the returned {!outcome}); a run that needed any fallback
-    is flagged [degraded] but still returns [Ok].  Only when every
+    Every step is recorded in the returned {!outcome}, with the
+    per-group measurements of the attempt that answered; a run that
+    needed any fallback is flagged [degraded] but still returns [Ok].  Only when every
     strategy fails — or the working set alone exceeds the budget — is
     the last typed error returned.
 
@@ -61,12 +61,15 @@ type outcome = {
   degraded : bool;  (** some step failed or was skipped over budget *)
   attempts : (step * Pmdp_util.Pmdp_error.t option) list;
       (** chain record in order: [None] = step succeeded *)
+  groups : Tiled_exec.group_stats list;
+      (** per-group measurements of the tiled attempt that answered,
+          in group order; [[]] when the native or reference step
+          answered *)
 }
 
 val run :
   ?pool:Pmdp_runtime.Pool.t ->
   ?sched:Pmdp_runtime.Pool.sched ->
-  ?profile:Pmdp_report.Profile.collector ->
   ?machine:Pmdp_machine.Machine.t ->
   ?mem_budget:int ->
   ?fault:Pmdp_runtime.Fault.t ->
@@ -84,7 +87,6 @@ val run :
 val run_plan :
   ?pool:Pmdp_runtime.Pool.t ->
   ?sched:Pmdp_runtime.Pool.sched ->
-  ?profile:Pmdp_report.Profile.collector ->
   ?machine:Pmdp_machine.Machine.t ->
   ?mem_budget:int ->
   ?fault:Pmdp_runtime.Fault.t ->

@@ -5,7 +5,6 @@ module Footprint = Pmdp_analysis.Footprint
 module Schedule_spec = Pmdp_core.Schedule_spec
 module Pool = Pmdp_runtime.Pool
 module Fault = Pmdp_runtime.Fault
-module Profile = Pmdp_report.Profile
 module Pmdp_error = Pmdp_util.Pmdp_error
 module Trace = Pmdp_trace.Trace
 
@@ -168,11 +167,8 @@ let make_arena gp =
 
 (* Execute one tile of one group.  [externals] maps each member to its
    pre-resolved external views (lazily shared across tiles); [arena]
-   is this worker's reusable scratch store; [copy_out], when
-   profiling, accumulates the bytes live-outs copy from scratch back
-   to their full buffers. *)
-let run_tile ?fault ?cancel ?copy_out gp (buffers : (string, Buffer.t) Hashtbl.t) externals arena
-    tile_index =
+   is this worker's reusable scratch store. *)
+let run_tile ?fault ?cancel gp (buffers : (string, Buffer.t) Hashtbl.t) externals arena tile_index =
   (match cancel with
   | Some tk when Fault.is_cancelled tk ->
       Pmdp_error.raise_
@@ -307,29 +303,17 @@ let run_tile ?fault ?cancel ?copy_out gp (buffers : (string, Buffer.t) Hashtbl.t
     if mp.liveout && not direct then begin
       let buf = Hashtbl.find buffers stage.Stage.name in
       (* Intersection of the member's own points with this tile: the
-         only points this tile legitimately owns.  May be empty. *)
+         only points this tile legitimately owns.  May be empty, and
+         then the copy loop below runs no iteration. *)
       let exact_lo = Array.make own_nd 0 and exact_hi = Array.make own_nd 0 in
-      let empty = ref false in
       for k = 0 to own_nd - 1 do
         let g = ga.Group_analysis.dim_of_stage.(mi).(k) in
         let s = ga.Group_analysis.scales.(mi).(g) in
         let dim = stage.Stage.dims.(k) in
         let dlo = dim.Stage.lo and dhi = dim.Stage.lo + dim.Stage.extent - 1 in
         exact_lo.(k) <- max dlo (ceil_div tlo.(g) s);
-        exact_hi.(k) <- min dhi (floor_div thi.(g) s);
-        if exact_hi.(k) < exact_lo.(k) then empty := true
+        exact_hi.(k) <- min dhi (floor_div thi.(g) s)
       done;
-      if not !empty then begin
-      (if copy_out <> None || Trace.on () then begin
-         let points = ref 1 in
-         for k = 0 to own_nd - 1 do
-           points := !points * (exact_hi.(k) - exact_lo.(k) + 1)
-         done;
-         (match copy_out with
-         | Some acc -> ignore (Atomic.fetch_and_add acc (!points * 8))
-         | None -> ());
-         if Trace.on () then Trace.count "copy_out_bytes" (!points * 8)
-       end);
       let idx = Array.copy exact_lo in
       let rec copy k src_off =
         if k = own_nd then begin
@@ -346,7 +330,6 @@ let run_tile ?fault ?cancel ?copy_out gp (buffers : (string, Buffer.t) Hashtbl.t
           done
       in
       copy 0 dest_base
-      end
     end
   done
 
@@ -417,25 +400,41 @@ let tile_coords gp tile_index =
   done;
   String.concat "," (Array.to_list parts)
 
-let run_group ?pool ?sched ?profile ?fault ?cancel ~index gp buffers =
+type group_stats = {
+  index : int;
+  stages : string list;
+  tiles : int;
+  occupancy : int;
+  scratch_bytes : int;
+  copy_out_bytes : int;
+  wall_seconds : float;
+}
+
+let stage_names gp =
+  Array.to_list (Array.map (fun (mp : member_plan) -> mp.stage.Stage.name) gp.members)
+
+(* Bytes the live-outs computed in scratch copy out over one run of the
+   group.  The tiles' exact boxes partition each such buffer (the race
+   pass of Verify.check_legality proves it for every dispatched
+   schedule), so the total is the buffers' size. *)
+let copy_out_bytes gp =
+  Array.fold_left
+    (fun acc (mp : member_plan) ->
+      if mp.liveout && not mp.direct then acc + (Stage.domain_points mp.stage * 8) else acc)
+    0 gp.members
+
+let run_group ?pool ?sched ?fault ?cancel ~index gp buffers =
   let externals = externals_for gp buffers in
-  let copy_out =
-    match (profile, Trace.on ()) with
-    | Some _, _ | _, true -> Some (Atomic.make 0)
-    | None, false -> None
-  in
   let arenas = Atomic.make 0 in
   let make_arena_checked () =
     (match fault with Some f -> Fault.alloc_tick f | None -> ());
     Atomic.incr arenas;
-    if Trace.on () then Trace.count "scratch_bytes" (arena_bytes gp);
     make_arena gp
   in
-  let exec_tile arena t = run_tile ?fault ?cancel ?copy_out gp buffers externals arena t in
+  let exec_tile arena t = run_tile ?fault ?cancel gp buffers externals arena t in
   let exec_tile arena t =
     if not (Trace.on ()) then exec_tile arena t
-    else begin
-      Trace.count "tiles" 1;
+    else
       Trace.with_span ~cat:"exec"
         ~args:
           [
@@ -445,7 +444,6 @@ let run_group ?pool ?sched ?profile ?fault ?cancel ~index gp buffers =
           ]
         "tile"
         (fun () -> exec_tile arena t)
-    end
   in
   let ts_group = if Trace.on () then Trace.now () else Float.nan in
   let t0 = Unix.gettimeofday () in
@@ -461,23 +459,34 @@ let run_group ?pool ?sched ?profile ?fault ?cancel ~index gp buffers =
         done;
         1
   in
-  if Trace.on () && not (Float.is_nan ts_group) then
+  let stats =
+    {
+      index;
+      stages = stage_names gp;
+      tiles = gp.n_tiles;
+      occupancy;
+      scratch_bytes = Atomic.get arenas * arena_bytes gp;
+      copy_out_bytes = copy_out_bytes gp;
+      wall_seconds = Unix.gettimeofday () -. t0;
+    }
+  in
+  if Trace.on () && not (Float.is_nan ts_group) then begin
     Trace.complete ~cat:"exec"
       ~args:
         [
           ("group", Trace.Int index);
-          ("stages",
-           Trace.Str
-             (String.concat ","
-                (Array.to_list
-                   (Array.map (fun (mp : member_plan) -> mp.stage.Stage.name) gp.members))));
-          ("tiles", Trace.Int gp.n_tiles);
-          ("occupancy", Trace.Int occupancy);
-          ("scratch_bytes", Trace.Int (Atomic.get arenas * arena_bytes gp));
-          ("copy_out_bytes",
-           Trace.Int (match copy_out with Some a -> Atomic.get a | None -> 0));
+          ("stages", Trace.Str (String.concat "," stats.stages));
+          ("tiles", Trace.Int stats.tiles);
+          ("occupancy", Trace.Int stats.occupancy);
+          ("scratch_bytes", Trace.Int stats.scratch_bytes);
+          ("copy_out_bytes", Trace.Int stats.copy_out_bytes);
         ]
       ~name:"group" ~ts:ts_group ();
+    Trace.count "tiles" stats.tiles;
+    Trace.count "scratch_bytes" stats.scratch_bytes;
+    (* a group with nothing to copy out never touched this counter *)
+    if stats.copy_out_bytes > 0 then Trace.count "copy_out_bytes" stats.copy_out_bytes
+  end;
   (* A tile sleeping through a watchdog deadline returns normally; the
      group boundary is the last place to refuse to report success for
      work that was cancelled mid-flight. *)
@@ -486,30 +495,15 @@ let run_group ?pool ?sched ?profile ?fault ?cancel ~index gp buffers =
       Pmdp_error.raise_
         (Pmdp_error.Cancelled { reason = "Tiled_exec: cooperative cancellation after group" })
   | _ -> ());
-  match profile with
-  | None -> ()
-  | Some c ->
-      Profile.add_group c
-        {
-          Profile.index;
-          stages =
-            Array.to_list
-              (Array.map (fun (mp : member_plan) -> mp.stage.Stage.name) gp.members);
-          tiles = gp.n_tiles;
-          occupancy;
-          scratch_bytes = Atomic.get arenas * arena_bytes gp;
-          copy_out_bytes = (match copy_out with Some a -> Atomic.get a | None -> 0);
-          wall_seconds = Unix.gettimeofday () -. t0;
-        }
+  stats
 
-let run ?pool ?sched ?profile ?fault ?cancel ?(reuse_buffers = false) plan ~inputs =
+let run ?pool ?sched ?fault ?cancel ?(reuse_buffers = false) plan ~inputs =
   Reference.check_inputs plan.pipeline inputs;
+  let run_group gi gp buffers = run_group ?pool ?sched ?fault ?cancel ~index:gi gp buffers in
   if not reuse_buffers then begin
     let buffers = prepare plan ~inputs in
-    Array.iteri
-      (fun gi gp -> run_group ?pool ?sched ?profile ?fault ?cancel ~index:gi gp buffers)
-      plan.groups;
-    collect_results plan buffers
+    let stats = Array.mapi (fun gi gp -> run_group gi gp buffers) plan.groups in
+    (collect_results plan buffers, Array.to_list stats)
   end
   else begin
     (* Storage optimization: live-out buffers past their last consumer
@@ -555,33 +549,37 @@ let run ?pool ?sched ?profile ?fault ?cancel ?(reuse_buffers = false) plan ~inpu
         | [] -> Buffer.of_stage stage
       end
     in
-    Array.iteri
-      (fun gi gp ->
-        Array.iter
-          (fun (mp : member_plan) ->
-            if mp.liveout then Hashtbl.replace buffers mp.stage.Stage.name (alloc mp.stage))
-          gp.members;
-        run_group ?pool ?sched ?profile ?fault ?cancel ~index:gi gp buffers;
-        (* release buffers whose last consumer group just ran *)
-        Array.iteri
-          (fun gj gp' ->
-            if gj <= gi then
-              Array.iter
-                (fun (mp : member_plan) ->
-                  if mp.liveout && dies mp.sid = gi then
-                    match Hashtbl.find_opt buffers mp.stage.Stage.name with
-                    | Some b ->
-                        free := b :: !free;
-                        Hashtbl.remove buffers mp.stage.Stage.name
-                    | None -> ())
-                gp'.members)
-          plan.groups)
-      plan.groups;
-    List.filter_map
-      (fun sid ->
-        let name = (Pipeline.stage p sid).Stage.name in
-        Option.map (fun b -> (name, b)) (Hashtbl.find_opt buffers name))
-      p.Pipeline.outputs
+    let stats =
+      Array.mapi
+        (fun gi gp ->
+          Array.iter
+            (fun (mp : member_plan) ->
+              if mp.liveout then Hashtbl.replace buffers mp.stage.Stage.name (alloc mp.stage))
+            gp.members;
+          let stats = run_group gi gp buffers in
+          (* release buffers whose last consumer group just ran *)
+          Array.iteri
+            (fun gj gp' ->
+              if gj <= gi then
+                Array.iter
+                  (fun (mp : member_plan) ->
+                    if mp.liveout && dies mp.sid = gi then
+                      match Hashtbl.find_opt buffers mp.stage.Stage.name with
+                      | Some b ->
+                          free := b :: !free;
+                          Hashtbl.remove buffers mp.stage.Stage.name
+                      | None -> ())
+                  gp'.members)
+            plan.groups;
+          stats)
+        plan.groups
+    in
+    ( List.filter_map
+        (fun sid ->
+          let name = (Pipeline.stage p sid).Stage.name in
+          Option.map (fun b -> (name, b)) (Hashtbl.find_opt buffers name))
+        p.Pipeline.outputs,
+      Array.to_list stats )
   end
 
 type group_timing = { group_stages : string list; tile_durations : float array }
@@ -600,11 +598,7 @@ let run_timed plan ~inputs =
           run_tile gp buffers externals arena t;
           durations.(t) <- Unix.gettimeofday () -. t0
         done;
-        {
-          group_stages =
-            Array.to_list (Array.map (fun (mp : member_plan) -> mp.stage.Stage.name) gp.members);
-          tile_durations = durations;
-        })
+        { group_stages = stage_names gp; tile_durations = durations })
       plan.groups
   in
   (collect_results plan buffers, Array.to_list timings)
@@ -615,8 +609,7 @@ let pp ppf plan =
   Array.iteri
     (fun i gp ->
       Format.fprintf ppf "  group %d: {%s} tile=[%s] tiles=%d@," i
-        (String.concat ","
-           (Array.to_list (Array.map (fun (mp : member_plan) -> mp.stage.Stage.name) gp.members)))
+        (String.concat "," (stage_names gp))
         (String.concat "x" (Array.to_list (Array.map string_of_int gp.tile)))
         gp.n_tiles)
     plan.groups;

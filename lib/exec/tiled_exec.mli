@@ -67,24 +67,40 @@ val pipeline : plan -> Pmdp_dsl.Pipeline.t
 (** The pipeline the plan lowers — what the reference fallback of
     {!Resilient.run_plan} executes when the plan itself cannot. *)
 
+type group_stats = {
+  index : int;  (** group position in the schedule *)
+  stages : string list;  (** member stage names *)
+  tiles : int;  (** tiles executed *)
+  occupancy : int;  (** workers that executed >= 1 tile (1 when sequential) *)
+  scratch_bytes : int;  (** arena bytes allocated, summed over workers *)
+  copy_out_bytes : int;
+      (** bytes the live-outs computed in scratch copy to their full
+          buffers: each such buffer once, since the tiles' copy-out
+          boxes partition it (checked by the race pass of
+          [Pmdp_verify.Verify.check_legality]) *)
+  wall_seconds : float;  (** wall-clock of the group's tile loop *)
+}
+(** What one run of one group measured: the per-group execution
+    profile [pmdp run --profile] prints and the bench JSON carries. *)
+
 val run :
   ?pool:Pmdp_runtime.Pool.t ->
   ?sched:Pmdp_runtime.Pool.sched ->
-  ?profile:Pmdp_report.Profile.collector ->
   ?fault:Pmdp_runtime.Fault.t ->
   ?cancel:Pmdp_runtime.Fault.token ->
   ?reuse_buffers:bool ->
   plan ->
   inputs:(string * Buffer.t) list ->
-  (string * Buffer.t) list
-(** Execute; returns the live-out buffers by stage name.  With
-    [pool], each group's tiles are distributed over the pool's
-    persistent workers, claimed under [sched] (default chunked
-    dynamic, see {!Pmdp_runtime.Pool.parallel_for}).  With [profile],
-    one {!Pmdp_report.Profile.group} record per group is appended to
-    the collector: tiles executed, worker occupancy, scratch and
-    copy-out bytes, and wall-clock.  With [fault], the injection
-    points fire: {!Pmdp_runtime.Fault.tile_tick} at each tile,
+  (string * Buffer.t) list * group_stats list
+(** Execute; returns the live-out buffers by stage name and one
+    {!group_stats} per group, in group order.  With [pool], each
+    group's tiles are distributed over the pool's persistent workers,
+    claimed under [sched] (default chunked dynamic, see
+    {!Pmdp_runtime.Pool.parallel_for}).  With tracing on, each group
+    records a [group] span whose arguments are its {!group_stats} and
+    adds them to the [tiles], [scratch_bytes] and [copy_out_bytes]
+    counters.  With [fault], the injection points fire:
+    {!Pmdp_runtime.Fault.tile_tick} at each tile,
     {!Pmdp_runtime.Fault.alloc_tick} at each arena allocation.  With
     [cancel], every tile first checks the token and raises a typed
     [Cancelled] error once it is set (the cooperative-cancellation

@@ -14,12 +14,10 @@ type t = {
   version : string;  (** first line of [cc --version], for cache metadata *)
 }
 
-val base_flags : string
-(** ["-O2 -shared -fPIC -ffp-contract=off"] — contraction is disabled
-    so kernel arithmetic rounds exactly like the interpreter's. *)
-
 val flags : t -> string
-(** {!base_flags} plus [-fopenmp] when the probe accepted it. *)
+(** ["-O2 -shared -fPIC -ffp-contract=off"] — contraction is disabled
+    so kernel arithmetic rounds exactly like the interpreter's — plus
+    [-fopenmp] when the probe accepted it. *)
 
 val probe : ?cc:string -> unit -> t option
 (** Find a working compiler by test-compiling a shared object.

@@ -147,5 +147,4 @@ val read : string -> (t * string, string) result
     must compare the two to detect tampering). *)
 
 val n_groups : t -> int
-val total_tiles : t -> int
 val pp : Format.formatter -> t -> unit

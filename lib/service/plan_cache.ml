@@ -246,11 +246,3 @@ let stats t =
   in
   Mutex.unlock t.lock;
   s
-
-let clear t =
-  Mutex.lock t.lock;
-  let ready =
-    Hashtbl.fold (fun k slot acc -> match slot with Ready _ -> k :: acc | Building -> acc) t.table []
-  in
-  List.iter (Hashtbl.remove t.table) ready;
-  Mutex.unlock t.lock

@@ -139,6 +139,3 @@ type stats = {
 
 val stats : t -> stats
 
-val clear : t -> unit
-(** Drop ready entries (counters are kept).  Slots currently being
-    compiled are left alone and land in the cache when done. *)

@@ -45,10 +45,6 @@ exception Closed
 (** Peer hung up mid-frame (a clean EOF at a frame boundary reads as
     [None] instead). *)
 
-val max_frame_bytes : int
-(** Refuse frames larger than this (1 MiB) — a corrupt or hostile
-    length prefix must not trigger a giant allocation. *)
-
 val write_frame : Unix.file_descr -> Pmdp_report.Json.t -> unit
 (** Serialize compactly and send one frame.
     @raise Closed on a broken pipe. *)
@@ -101,9 +97,6 @@ val json_of_response : Service.response -> Pmdp_report.Json.t
 val json_of_stats : Service.stats -> Pmdp_report.Json.t
 (** The sharded shape: [{"shards": [...], "totals": {...},
     "breaker": {...}, "disk": ...}]. *)
-
-val json_of_breaker : Breaker.counters -> Pmdp_report.Json.t
-(** The circuit-breaker ledger object shared by stats and health. *)
 
 val json_of_health : Service.health -> Pmdp_report.Json.t
 (** The v3 health shape: [{"draining": ..., "shards": [...],

@@ -369,7 +369,7 @@ let execute_batch t s key (batch : pending list) =
   let outcome_of p =
     match result with
     | Error e -> Error e
-    | Ok { Resilient.results; degraded; attempts = _ } ->
+    | Ok { Resilient.results; degraded; _ } ->
         let checksum = List.fold_left (fun acc (_, b) -> acc +. Buffer.checksum b) 0.0 results in
         let max_abs_diff =
           if not t.validate then None

@@ -80,8 +80,8 @@ val gauge : string -> int -> unit
 
 val counter_totals : unit -> (string * int) list
 (** Per-name sums of all {!count} deltas recorded since the last
-    {!reset}, sorted by name.  Cheap snapshot; used to feed
-    {!Pmdp_report.Profile} and the bench JSON. *)
+    {!reset}, sorted by name.  Cheap snapshot; [pmdp run --profile]
+    prints it and the bench JSON carries each case's delta. *)
 
 val dump : unit -> (int * event list) list
 (** All recorded events, grouped by recording domain id, each group

@@ -3,11 +3,6 @@
     partial pivoting, and a [1e-9]-scaled ridge so rank-deficient
     designs degrade gracefully instead of failing. *)
 
-val solve : float array array -> float array -> float array option
-(** [solve a b] solves the square system [a x = b]; [None] when
-    singular or the solution is non-finite. [a] and [b] are not
-    mutated. *)
-
 val fit :
   rows:float array array ->
   ys:float array ->

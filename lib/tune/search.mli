@@ -29,12 +29,6 @@ val run :
     @raise Invalid_argument if [budget < 1] or the initial point does
     not evaluate. *)
 
-val tiles_of_spec : Pmdp_core.Schedule_spec.t -> int array array
-
-val spec_with_tiles :
-  Pmdp_core.Schedule_spec.t -> int array array -> Pmdp_core.Schedule_spec.t
-(** Same grouping, new tile arrays (not validated). *)
-
 val tune_spec :
   seed:int ->
   budget:int ->

@@ -77,13 +77,15 @@ let sweep backend =
           if d = 0.0 then Printf.printf "  ok   %-16s bitwise\n%!" app.Registry.name
           else fail "%s: native diverges: max abs %g" app.Registry.name d);
       (* Same plan through the resilient chain: the native step must be
-         the one that answers, with no degradation recorded. *)
+         the one that answers, with no degradation and no interpreter
+         group records. *)
       Native_exec.install backend;
       (match Resilient.run ~machine:Machine.xeon spec ~inputs with
       | Error e ->
           fail "%s: resilient run failed: %s" app.Registry.name (Pmdp_error.to_string e)
-      | Ok { Resilient.results; degraded; attempts } ->
+      | Ok { Resilient.results; degraded; attempts; groups } ->
           if degraded then fail "%s: native-backed run marked degraded" app.Registry.name;
+          if groups <> [] then fail "%s: native-backed run returned group records" app.Registry.name;
           (match List.rev attempts with
           | (step, None) :: _ when Resilient.step_name step = "native" -> ()
           | _ -> fail "%s: native was not the answering step" app.Registry.name);
@@ -213,7 +215,7 @@ let budget backend =
     Native_exec.install backend;
     (match Resilient.run_plan ~machine:Machine.xeon ~mem_budget plan ~inputs with
     | Error e -> fail "budget: run failed: %s" (Pmdp_error.to_string e)
-    | Ok { Resilient.results; degraded; attempts } -> (
+    | Ok { Resilient.results; degraded; attempts; _ } -> (
         let answered =
           match List.rev attempts with
           | (step, None) :: _ -> Resilient.step_name step = "native"
@@ -322,7 +324,7 @@ let expect_fallback label backend spec ~inputs ~reference =
   Native_exec.install backend;
   (match Resilient.run ~machine:Machine.xeon spec ~inputs with
   | Error e -> fail "%s: hard error %s" label (Pmdp_error.to_string e)
-  | Ok { Resilient.results; degraded; attempts } ->
+  | Ok { Resilient.results; degraded; attempts; _ } ->
       if not degraded then fail "%s: run not marked degraded" label;
       (match
          List.find_opt

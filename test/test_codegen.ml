@@ -79,13 +79,7 @@ let test_gpp_compiles_all_apps () =
     List.iter
       (fun (app : Pmdp_apps.Registry.app) ->
         let p = app.Pmdp_apps.Registry.build ~scale:32 in
-        let sched =
-          if Pmdp_dsl.Pipeline.n_stages p >= 30 then begin
-            let inc = Pmdp_core.Inc_grouping.run ~initial_limit:8 ~config p in
-            Schedule_spec.of_grouping config p inc.Pmdp_core.Inc_grouping.groups
-          end
-          else fst (Schedule_spec.dp config p)
-        in
+        let sched = Pmdp_core.Scheduler.schedule Pmdp_core.Scheduler.Dp config p in
         let code = kernels sched in
         Alcotest.(check bool)
           (app.Pmdp_apps.Registry.name ^ " compiles with g++")

@@ -70,13 +70,7 @@ let run_diff (app : Pmdp_apps.Registry.app) scale =
   let name = app.Pmdp_apps.Registry.name in
   let p = app.Pmdp_apps.Registry.build ~scale in
   let inputs = app.Pmdp_apps.Registry.inputs ~seed:21 p in
-  let sched =
-    if Pipeline.n_stages p >= 30 then begin
-      let inc = Pmdp_core.Inc_grouping.run ~initial_limit:8 ~config p in
-      Schedule_spec.of_grouping config p inc.Pmdp_core.Inc_grouping.groups
-    end
-    else fst (Schedule_spec.dp config p)
-  in
+  let sched = Pmdp_core.Scheduler.schedule Pmdp_core.Scheduler.Dp config p in
   let ir = Pmdp_plan.of_spec sched in
   let reference = Pmdp_exec.Reference.run p ~inputs in
   let size name =

@@ -13,7 +13,7 @@ module Machine = Pmdp_machine.Machine
 let config = Cost_model.default_config Machine.xeon
 
 let exact p inputs sched =
-  let tiled = Tiled_exec.run (Tiled_exec.plan sched) ~inputs in
+  let tiled, _ = Tiled_exec.run (Tiled_exec.plan sched) ~inputs in
   let reference = Reference.run p ~inputs in
   List.iter
     (fun (name, buf) ->
@@ -125,7 +125,7 @@ let test_multiple_outputs () =
   in
   let inputs = [ ("img", fill_input "img" dims 17) ] in
   let sched = fst (Schedule_spec.dp config p) in
-  let results = Tiled_exec.run (Tiled_exec.plan sched) ~inputs in
+  let results, _ = Tiled_exec.run (Tiled_exec.plan sched) ~inputs in
   Alcotest.(check bool) "b present" true (List.mem_assoc "b" results);
   Alcotest.(check bool) "c present" true (List.mem_assoc "c" results);
   exact p inputs sched
@@ -170,7 +170,7 @@ let prop_updown_random_tiles =
       in
       let inputs = [ ("img", fill_input "img" base (tx + (100 * ty))) ] in
       let sched = Schedule_spec.with_tiles p [ ([ 0; 1; 2 ], [| tx; ty |]) ] in
-      let tiled = Tiled_exec.run (Tiled_exec.plan sched) ~inputs in
+      let tiled, _ = Tiled_exec.run (Tiled_exec.plan sched) ~inputs in
       let reference = Reference.run p ~inputs in
       Buffer.max_abs_diff (List.assoc "up" tiled) (List.assoc "up" reference) = 0.0)
 

@@ -7,6 +7,8 @@ module Buffer = Pmdp_exec.Buffer
 module Compile = Pmdp_exec.Compile
 module Reference = Pmdp_exec.Reference
 module Tiled_exec = Pmdp_exec.Tiled_exec
+module Resilient = Pmdp_exec.Resilient
+module Trace = Pmdp_trace.Trace
 module Schedule_spec = Pmdp_core.Schedule_spec
 module Cost_model = Pmdp_core.Cost_model
 module Machine = Pmdp_machine.Machine
@@ -150,7 +152,7 @@ let test_reference_missing_input () =
 
 let check_schedule_exact p inputs sched =
   let plan = Tiled_exec.plan sched in
-  let tiled = Tiled_exec.run plan ~inputs in
+  let tiled, _ = Tiled_exec.run plan ~inputs in
   let reference = Reference.run p ~inputs in
   List.iter
     (fun (name, buf) ->
@@ -163,13 +165,7 @@ let test_all_apps_dp_exact () =
     (fun (app : Pmdp_apps.Registry.app) ->
       let p = app.Pmdp_apps.Registry.build ~scale:48 in
       let inputs = app.Pmdp_apps.Registry.inputs ~seed:3 p in
-      let sched =
-        if Pipeline.n_stages p >= 30 then begin
-          let inc = Pmdp_core.Inc_grouping.run ~initial_limit:8 ~config p in
-          Schedule_spec.of_grouping config p inc.Pmdp_core.Inc_grouping.groups
-        end
-        else fst (Schedule_spec.dp config p)
-      in
+      let sched = Pmdp_core.Scheduler.schedule Pmdp_core.Scheduler.Dp config p in
       check_schedule_exact p inputs sched)
     Pmdp_apps.Registry.all
 
@@ -190,7 +186,7 @@ let prop_random_tiles_exact =
       let sched = Schedule_spec.with_tiles p [ ([ 0; 1 ], [| tc; tx; ty |]) ] in
       let inputs = Pmdp_apps.Blur.inputs ~seed:7 p in
       let plan = Tiled_exec.plan sched in
-      let tiled = Tiled_exec.run plan ~inputs in
+      let tiled, _ = Tiled_exec.run plan ~inputs in
       let reference = Reference.run p ~inputs in
       Buffer.max_abs_diff (List.assoc "blury" tiled) (List.assoc "blury" reference) = 0.0)
 
@@ -219,7 +215,7 @@ let prop_random_grouping_exact =
       let sched = Schedule_spec.of_grouping config p (List.rev !groups) in
       let inputs = Pmdp_apps.Harris.inputs ~seed:11 p in
       let plan = Tiled_exec.plan sched in
-      let tiled = Tiled_exec.run plan ~inputs in
+      let tiled, _ = Tiled_exec.run plan ~inputs in
       let reference = Reference.run p ~inputs in
       Buffer.max_abs_diff (List.assoc "harris" tiled) (List.assoc "harris" reference) = 0.0)
 
@@ -228,11 +224,11 @@ let test_parallel_equals_serial () =
   let inputs = Pmdp_apps.Unsharp.inputs ~seed:13 p in
   let sched = fst (Schedule_spec.dp config p) in
   let plan = Tiled_exec.plan sched in
-  let serial = Tiled_exec.run plan ~inputs in
+  let serial, _ = Tiled_exec.run plan ~inputs in
   Pmdp_runtime.Pool.with_pool 4 (fun pool ->
       List.iter
         (fun sched ->
-          let parallel = Tiled_exec.run ~pool ~sched plan ~inputs in
+          let parallel, _ = Tiled_exec.run ~pool ~sched plan ~inputs in
           List.iter
             (fun (name, buf) ->
               Alcotest.(check (float 0.0)) ("parallel " ^ name) 0.0
@@ -256,6 +252,134 @@ let test_run_timed_consistent () =
       Alcotest.(check bool) "durations nonnegative" true
         (Array.for_all (fun d -> d >= 0.0) g.Tiled_exec.tile_durations))
     timings
+
+(* -------------------- Group records -------------------- *)
+
+(* Interpolate's manual schedule at scale 16: fast, multi-tile groups,
+   and live-outs computed in scratch (non-zero copy-out). *)
+let interpolate_manual () =
+  let p = Pmdp_apps.Interpolate.build ~scale:16 () in
+  (p, Pmdp_apps.Interpolate.inputs ~seed:2 p, Tiled_exec.plan (Pmdp_baselines.Manual.schedule p))
+
+(* What the IR says a group's record must hold: its tile count and,
+   as copy-out, the buffer bytes of its live-outs not written direct. *)
+let expected_of_ir (g : Pmdp_plan.group) =
+  ( g.Pmdp_plan.n_tiles,
+    Array.fold_left
+      (fun acc (m : Pmdp_plan.member) ->
+        if m.Pmdp_plan.liveout && not m.Pmdp_plan.direct then
+          acc + (8 * Array.fold_left (fun n (_, extent) -> n * extent) 1 m.Pmdp_plan.dims)
+        else acc)
+      0 g.Pmdp_plan.members )
+
+let check_records ~workers plan (stats : Tiled_exec.group_stats list) =
+  let groups = (Tiled_exec.ir plan).Pmdp_plan.groups in
+  Alcotest.(check int) "one record per group" (Array.length groups) (List.length stats);
+  List.iteri
+    (fun i (g : Tiled_exec.group_stats) ->
+      let tiles, copy_out = expected_of_ir groups.(i) in
+      Alcotest.(check int) "group order" i g.Tiled_exec.index;
+      Alcotest.(check int) "tiles" tiles g.Tiled_exec.tiles;
+      Alcotest.(check int) "copy-out bytes" copy_out g.Tiled_exec.copy_out_bytes;
+      Alcotest.(check bool) "1 <= occupancy <= workers" true
+        (1 <= g.Tiled_exec.occupancy && g.Tiled_exec.occupancy <= workers))
+    stats
+
+let test_group_records () =
+  let _, inputs, plan = interpolate_manual () in
+  let _, serial = Tiled_exec.run plan ~inputs in
+  check_records ~workers:1 plan serial;
+  Alcotest.(check bool) "some group copies out" true
+    (List.exists (fun (g : Tiled_exec.group_stats) -> g.Tiled_exec.copy_out_bytes > 0) serial);
+  Pmdp_runtime.Pool.with_pool 2 (fun pool ->
+      check_records ~workers:2 plan (snd (Tiled_exec.run ~pool plan ~inputs)))
+
+(* The trace's group spans and counters are emitted from the records. *)
+let test_group_records_traced () =
+  let _, inputs, plan = interpolate_manual () in
+  Trace.set_enabled true;
+  Trace.reset ();
+  let stats =
+    Fun.protect
+      ~finally:(fun () -> Trace.set_enabled false)
+      (fun () ->
+        Pmdp_runtime.Pool.with_pool 2 (fun pool -> snd (Tiled_exec.run ~pool plan ~inputs)))
+  in
+  let span_args =
+    List.concat_map
+      (fun (_, evs) ->
+        List.filter_map
+          (function
+            | Trace.Span { name = "group"; ts; args; _ } -> Some (ts, args) | _ -> None)
+          evs)
+      (Trace.dump ())
+    |> List.sort compare |> List.map snd
+  in
+  let record_args (g : Tiled_exec.group_stats) =
+    [
+      ("group", Trace.Int g.Tiled_exec.index);
+      ("stages", Trace.Str (String.concat "," g.Tiled_exec.stages));
+      ("tiles", Trace.Int g.Tiled_exec.tiles);
+      ("occupancy", Trace.Int g.Tiled_exec.occupancy);
+      ("scratch_bytes", Trace.Int g.Tiled_exec.scratch_bytes);
+      ("copy_out_bytes", Trace.Int g.Tiled_exec.copy_out_bytes);
+    ]
+  in
+  Alcotest.(check bool) "group span args = records" true (span_args = List.map record_args stats);
+  let sum f = List.fold_left (fun acc g -> acc + f g) 0 stats in
+  Alcotest.(check (list (pair string int)))
+    "counter totals = record sums"
+    [
+      ("copy_out_bytes", sum (fun g -> g.Tiled_exec.copy_out_bytes));
+      ("scratch_bytes", sum (fun g -> g.Tiled_exec.scratch_bytes));
+      ("tiles", sum (fun g -> g.Tiled_exec.tiles));
+    ]
+    (Trace.counter_totals ())
+
+(* A tile crash in the tiled-parallel attempt: the answering serial
+   attempt's records are the outcome's, each group exactly once. *)
+let test_degraded_records () =
+  let p = Pmdp_apps.Harris.build ~scale:32 () in
+  let inputs = Pmdp_apps.Harris.inputs ~seed:1 p in
+  let spec = Pmdp_core.Scheduler.schedule Pmdp_core.Scheduler.Dp config p in
+  let fault = Pmdp_runtime.Fault.create [ { Pmdp_runtime.Fault.action = Crash; at = 40 } ] in
+  match
+    Pmdp_runtime.Pool.with_pool 2 (fun pool -> Resilient.run ~pool ~fault spec ~inputs)
+  with
+  | Error e -> Alcotest.failf "degraded run failed: %s" (Pmdp_util.Pmdp_error.to_string e)
+  | Ok o ->
+      Alcotest.(check (list (pair string bool)))
+        "chain: parallel failed, serial answered"
+        [ ("plan", true); ("tiled-parallel", false); ("tiled-serial", true) ]
+        (List.map (fun (st, e) -> (Resilient.step_name st, e = None)) o.Resilient.attempts);
+      Alcotest.(check (list int)) "each group once"
+        (List.init (Schedule_spec.n_groups spec) Fun.id)
+        (List.map (fun (g : Tiled_exec.group_stats) -> g.Tiled_exec.index) o.Resilient.groups);
+      Alcotest.(check bool) "serial occupancy" true
+        (List.for_all (fun (g : Tiled_exec.group_stats) -> g.Tiled_exec.occupancy = 1)
+           o.Resilient.groups)
+
+let test_reference_answers_no_records () =
+  let p = Pmdp_apps.Blur.build ~rows:32 ~cols:32 () in
+  let sched = fst (Schedule_spec.dp config p) in
+  let broken =
+    {
+      sched with
+      Schedule_spec.groups =
+        List.map
+          (fun (g : Schedule_spec.group) ->
+            { g with Schedule_spec.tile_sizes = Array.map (fun _ -> 0) g.Schedule_spec.tile_sizes })
+          sched.Schedule_spec.groups;
+    }
+  in
+  match Resilient.run broken ~inputs:(Pmdp_apps.Blur.inputs p) with
+  | Error e -> Alcotest.failf "reference fallback failed: %s" (Pmdp_util.Pmdp_error.to_string e)
+  | Ok o ->
+      Alcotest.(check (option string)) "reference answered" (Some "reference")
+        (match List.rev o.Resilient.attempts with
+        | (st, None) :: _ -> Some (Resilient.step_name st)
+        | _ -> None);
+      Alcotest.(check int) "no group records" 0 (List.length o.Resilient.groups)
 
 let () =
   Alcotest.run "pmdp_exec"
@@ -290,5 +414,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_random_grouping_exact;
           Alcotest.test_case "parallel equals serial" `Quick test_parallel_equals_serial;
           Alcotest.test_case "run_timed" `Quick test_run_timed_consistent;
+        ] );
+      ( "group records",
+        [
+          Alcotest.test_case "serial and pooled" `Quick test_group_records;
+          Alcotest.test_case "trace spans and counters" `Quick test_group_records_traced;
+          Alcotest.test_case "degraded run counts each group once" `Quick test_degraded_records;
+          Alcotest.test_case "none from the reference" `Quick test_reference_answers_no_records;
         ] );
     ]

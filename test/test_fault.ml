@@ -4,7 +4,9 @@
    (a) survive — the process neither crashes nor hangs,
    (b) produce live-out buffers bitwise identical to the reference
        executor, and
-   (c) record the degradation in the profile's fallback-chain steps.
+   (c) record the degradation in the outcome's fallback chain, and
+   (d) return one group record per plan group from the tiled step
+       that answered, none from the reference.
    Run directly or via `dune build @faultcheck` / `dune runtest`. *)
 
 module Machine = Pmdp_machine.Machine
@@ -16,7 +18,6 @@ module Reference = Pmdp_exec.Reference
 module Buffer = Pmdp_exec.Buffer
 module Pool = Pmdp_runtime.Pool
 module Fault = Pmdp_runtime.Fault
-module Profile = Pmdp_report.Profile
 module Pmdp_error = Pmdp_util.Pmdp_error
 module Registry = Pmdp_apps.Registry
 
@@ -30,19 +31,13 @@ let fail fmt =
     fmt
 
 (* One resilient run that must recover: Ok outcome, bitwise-equal
-   live-outs, degraded flagged in both the outcome and the profile. *)
+   live-outs, a degraded outcome with a failed step on its chain, and
+   the group records of the answering attempt only. *)
 let expect_recovery ~app ~case ?pool ?mem_budget ?fault ?timeout spec ~inputs ~reference =
-  let collector =
-    Profile.collector ~pipeline:app
-      ~workers:(match pool with Some p -> Pool.n_workers p | None -> 1)
-  in
-  match
-    Resilient.run ?pool ~profile:collector ~machine:Machine.xeon ?mem_budget ?fault ?timeout
-      spec ~inputs
-  with
+  match Resilient.run ?pool ~machine:Machine.xeon ?mem_budget ?fault ?timeout spec ~inputs with
   | exception e -> fail "%s/%s: escaped exception %s" app case (Printexc.to_string e)
   | Error e -> fail "%s/%s: hard error %s" app case (Pmdp_error.to_string e)
-  | Ok { Resilient.results; degraded; attempts } ->
+  | Ok { Resilient.results; degraded; attempts; groups } ->
       if not degraded then fail "%s/%s: fault did not degrade the run" app case;
       List.iter
         (fun (n, b) ->
@@ -52,15 +47,20 @@ let expect_recovery ~app ~case ?pool ?mem_budget ?fault ?timeout spec ~inputs ~r
               let d = Buffer.max_abs_diff b r in
               if d <> 0.0 then fail "%s/%s: %s differs from reference by %g" app case n d)
         results;
-      let p = Profile.result collector in
-      if not p.Profile.degraded then fail "%s/%s: profile not marked degraded" app case;
-      if not (List.exists (fun s -> s.Profile.step_error <> None) p.Profile.steps) then
-        fail "%s/%s: no failed step recorded in the profile" app case;
       let n_err = List.length (List.filter (fun (_, e) -> e <> None) attempts) in
+      if n_err = 0 then fail "%s/%s: no failed step recorded in the outcome" app case;
+      let answered = match List.rev attempts with (st, None) :: _ -> Some st | _ -> None in
+      let expected =
+        match answered with
+        | Some (Resilient.Tiled_parallel | Resilient.Tiled_serial) -> Schedule_spec.n_groups spec
+        | _ -> 0
+      in
+      if List.map (fun (g : Tiled_exec.group_stats) -> g.index) groups <> List.init expected Fun.id
+      then
+        fail "%s/%s: %d group records, expected groups 0..%d once each" app case
+          (List.length groups) (expected - 1);
       Printf.printf "  ok   %-20s %d attempt(s) failed, recovered via %s\n%!" case n_err
-        (match List.rev attempts with
-        | (st, None) :: _ -> Resilient.step_name st
-        | _ -> "?")
+        (match answered with Some st -> Resilient.step_name st | None -> "?")
 
 let input_bytes inputs = List.fold_left (fun acc (_, b) -> acc + (Buffer.size b * 8)) 0 inputs
 

@@ -124,7 +124,7 @@ let test_inline_then_schedule () =
   let sched = fst (Pmdp_core.Schedule_spec.dp config p) in
   let app = Pmdp_apps.Registry.find_exn "unsharp" in
   let inputs = app.Pmdp_apps.Registry.inputs ~seed:1 p in
-  let tiled = Pmdp_exec.Tiled_exec.run (Pmdp_exec.Tiled_exec.plan sched) ~inputs in
+  let tiled, _ = Pmdp_exec.Tiled_exec.run (Pmdp_exec.Tiled_exec.plan sched) ~inputs in
   let reference = Reference.run p ~inputs in
   Alcotest.(check (float 0.0)) "tiled inlined exact" 0.0
     (Buffer.max_abs_diff (List.assoc "masked" tiled) (List.assoc "masked" reference))

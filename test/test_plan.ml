@@ -129,7 +129,7 @@ let test_golden_plans_execute () =
                         (Printf.sprintf "%s: %s bitwise-equal to reference" name sname)
                         0.0
                         (Buffer.max_abs_diff buf (List.assoc sname reference)))
-                    (Tiled_exec.run plan ~inputs)))
+                    (fst (Tiled_exec.run plan ~inputs))))
         schedulers)
     Registry.all
 
@@ -137,8 +137,8 @@ let test_instantiate_equals_direct_lowering () =
   let p, spec, ir = blur_case () in
   let app = Registry.find_exn "blur" in
   let inputs = app.Registry.inputs ~seed:3 p in
-  let via_ir = Tiled_exec.run (Tiled_exec.instantiate p ir) ~inputs in
-  let direct = Tiled_exec.run (Tiled_exec.plan spec) ~inputs in
+  let via_ir, _ = Tiled_exec.run (Tiled_exec.instantiate p ir) ~inputs in
+  let direct, _ = Tiled_exec.run (Tiled_exec.plan spec) ~inputs in
   List.iter
     (fun (sname, buf) ->
       Alcotest.(check (float 0.0))

@@ -65,16 +65,10 @@ let test_reuse_execution_correct () =
     (fun (app : Pmdp_apps.Registry.app) ->
       let p = app.Pmdp_apps.Registry.build ~scale:48 in
       let inputs = app.Pmdp_apps.Registry.inputs ~seed:3 p in
-      let sched =
-        if Pipeline.n_stages p >= 30 then begin
-          let inc = Pmdp_core.Inc_grouping.run ~initial_limit:8 ~config p in
-          Schedule_spec.of_grouping config p inc.Pmdp_core.Inc_grouping.groups
-        end
-        else fst (Schedule_spec.dp config p)
-      in
+      let sched = Pmdp_core.Scheduler.schedule Pmdp_core.Scheduler.Dp config p in
       let plan = Tiled_exec.plan sched in
-      let plain = Tiled_exec.run plan ~inputs in
-      let reused = Tiled_exec.run ~reuse_buffers:true plan ~inputs in
+      let plain, _ = Tiled_exec.run plan ~inputs in
+      let reused, _ = Tiled_exec.run ~reuse_buffers:true plan ~inputs in
       (* recycled runs return outputs only, and they must be identical *)
       List.iter
         (fun out_id ->
@@ -90,7 +84,7 @@ let test_reuse_only_outputs_returned () =
   let p = chain 4 16 16 in
   let plan = Tiled_exec.plan (unfused p) in
   let inputs = [ ("img", Pmdp_apps.Images.gray ~seed:1 "img" ~rows:16 ~cols:16) ] in
-  let results = Tiled_exec.run ~reuse_buffers:true plan ~inputs in
+  let results, _ = Tiled_exec.run ~reuse_buffers:true plan ~inputs in
   Alcotest.(check int) "only the output" 1 (List.length results);
   Alcotest.(check bool) "named s3" true (List.mem_assoc "s3" results)
 
