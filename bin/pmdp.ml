@@ -250,7 +250,8 @@ let run_cmd =
           workers completed
           (if degraded then ", DEGRADED" else "")
           worst;
-        if degraded then
+        (* under --profile the chain prints once, as the profile's step lines *)
+        if degraded && not profile then
           List.iter
             (fun (st, err) ->
               Format.printf "  %-14s %s@."
@@ -634,7 +635,7 @@ let storage_cmd =
   let run app scale machine scheduler =
     let pipeline = build app scale in
     let sched = make_schedule scheduler machine pipeline in
-    let r = Pmdp_exec.Storage.report sched in
+    let r = Pmdp_exec.Storage.report pipeline (Pmdp_plan.of_spec sched) in
     List.iter
       (fun (l : Pmdp_exec.Storage.lifetime) ->
         Printf.printf "  %-14s %8d bytes  groups %d..%s\n" l.Pmdp_exec.Storage.stage

@@ -71,14 +71,14 @@ let group_predictions config (spec : Schedule_spec.t) =
          | Some f -> [ (gi, f, Cost_model.predict config f) ])
        spec.Schedule_spec.groups)
 
-(* Reconstructed [w]-way wall-clock of one sequential-timed run:
-   groups are barriers, tiles within a group distribute under the
-   pool's claim policy. *)
-let makespan_of_timings ~sched ~workers timings =
+(* Reconstructed [w]-way wall-clock of one sequential run: groups are
+   barriers, tiles within a group distribute under the pool's claim
+   policy. *)
+let makespan_of_timings ~sched ~workers groups =
   List.fold_left
-    (fun acc (g : Tiled_exec.group_timing) ->
-      acc +. Pool.simulate_makespan ~sched ~workers g.Tiled_exec.tile_durations)
-    0.0 timings
+    (fun acc (g : Tiled_exec.group_stats) ->
+      acc +. Pool.simulate_makespan ~sched ~workers g.Tiled_exec.tile_seconds)
+    0.0 groups
 
 let run_spec ?pool_sched ?(log = fun _ -> ()) ~reps ~machine ~workers ~scheduler ~inputs
     ~reference (spec : Schedule_spec.t) =
@@ -95,12 +95,22 @@ let run_spec ?pool_sched ?(log = fun _ -> ()) ~reps ~machine ~workers ~scheduler
      hosts with fewer cores than the requested pool (the DESIGN.md
      multicore substitution).  Measured lazily, once per schedule, and
      checked like every rep: each comes with its worst diff against
-     the reference. *)
+     the reference.  Forced only after the first case's counter
+     snapshot, so no case's counters include them. *)
   let timed_reps =
     lazy
-      (List.init reps (fun _ ->
-           let results, timings = Tiled_exec.run_timed plan ~inputs in
-           (Reference.max_abs_diff ~reference results, timings)))
+      (List.init reps (fun rep ->
+           Trace.with_span ~cat:"bench"
+             ~args:
+               [
+                 ("app", Trace.Str p.Pipeline.name);
+                 ("scheduler", Trace.Str (Scheduler.to_string scheduler));
+                 ("rep", Trace.Int (rep + 1));
+               ]
+             "timed-rep"
+             (fun () ->
+               let results, groups = Tiled_exec.run plan ~inputs in
+               (Reference.max_abs_diff ~reference results, groups))))
   in
   (* Predicted-vs-measured per group: the schedule's tile features
      under the model next to the median summed tile durations of
@@ -115,8 +125,8 @@ let run_spec ?pool_sched ?(log = fun _ -> ()) ~reps ~machine ~workers ~scheduler
          List.map
            (fun reps ->
              List.map
-               (fun (gt : Tiled_exec.group_timing) ->
-                 Array.fold_left ( +. ) 0.0 gt.Tiled_exec.tile_durations)
+               (fun (g : Tiled_exec.group_stats) ->
+                 Array.fold_left ( +. ) 0.0 g.Tiled_exec.tile_seconds)
                reps)
            timings
        in

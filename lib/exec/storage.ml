@@ -1,7 +1,4 @@
 module Pipeline = Pmdp_dsl.Pipeline
-module Stage = Pmdp_dsl.Stage
-module Group_analysis = Pmdp_analysis.Group_analysis
-module Schedule_spec = Pmdp_core.Schedule_spec
 
 type lifetime = { stage : string; bytes : int; born : int; dies : int }
 
@@ -11,81 +8,69 @@ type report = {
   peak_reuse_bytes : int;
 }
 
-let bytes_per_elem = 4
+type slots = { slot : int array; capacity : int array }
 
-let lifetimes (spec : Schedule_spec.t) =
-  let p = spec.Schedule_spec.pipeline in
-  let groups = Array.of_list spec.Schedule_spec.groups in
-  let group_of_stage = Array.make (Pipeline.n_stages p) 0 in
+(* Every live-out of the plan with its stage id, in group order. *)
+let liveouts p (ir : Pmdp_plan.t) =
+  let group_of_stage = Array.make (Pipeline.n_stages p) (-1) in
   Array.iteri
-    (fun gi (g : Schedule_spec.group) ->
-      List.iter (fun s -> group_of_stage.(s) <- gi) g.Schedule_spec.stages)
-    groups;
-  let acc = ref [] in
-  Array.iteri
-    (fun gi (g : Schedule_spec.group) ->
-      match Group_analysis.analyze p g.Schedule_spec.stages with
-      | Error _ -> invalid_arg "Storage.lifetimes: group failed analysis"
-      | Ok ga ->
-          Array.iteri
-            (fun m sid ->
-              if ga.Group_analysis.liveouts.(m) then begin
-                let stage = Pipeline.stage p sid in
-                let dies =
-                  if Pipeline.is_output p sid then max_int
-                  else
-                    List.fold_left
-                      (fun acc c ->
-                        if group_of_stage.(c) <> gi then max acc group_of_stage.(c) else acc)
-                      gi (Pipeline.consumers p sid)
-                in
-                acc :=
-                  {
-                    stage = stage.Stage.name;
-                    bytes = Stage.domain_points stage * bytes_per_elem;
-                    born = gi;
-                    dies;
-                  }
-                  :: !acc
-              end)
-            ga.Group_analysis.members)
-    groups;
-  List.rev !acc
+    (fun gi (g : Pmdp_plan.group) ->
+      Array.iter (fun (m : Pmdp_plan.member) -> group_of_stage.(m.sid) <- gi) g.members)
+    ir.groups;
+  List.concat
+    (List.mapi
+       (fun born (g : Pmdp_plan.group) ->
+         List.filter_map
+           (fun (m : Pmdp_plan.member) ->
+             if not m.liveout then None
+             else
+               let dies =
+                 if Pipeline.is_output p m.sid then max_int
+                 else
+                   List.fold_left
+                     (fun acc c -> max acc group_of_stage.(c))
+                     born (Pipeline.consumers p m.sid)
+               in
+               let points = Array.fold_left (fun n (_, extent) -> n * extent) 1 m.dims in
+               Some (m.sid, { stage = m.name; bytes = points * 8; born; dies }))
+           (Array.to_list g.members))
+       (Array.to_list ir.groups))
 
-let report spec =
-  let lifetimes = lifetimes spec in
-  let n_groups = List.length spec.Schedule_spec.groups in
-  (* naive: everything allocated up front and kept *)
-  let peak_naive = List.fold_left (fun acc l -> acc + l.bytes) 0 lifetimes in
-  (* reuse: first-fit from a free list of dead buffers, walking groups
-     in order — mirrors the executor's policy *)
-  let free : int list ref = ref [] in
-  let live = ref [] in
-  let current = ref 0 in
-  let peak = ref 0 in
-  let rec remove_first x = function
-    | [] -> []
-    | y :: rest -> if y = x then rest else y :: remove_first x rest
-  in
-  for gi = 0 to n_groups - 1 do
-    List.iter
-      (fun l ->
-        if l.born = gi then begin
-          (* take the smallest free slot that fits, else allocate *)
-          let fits = List.sort compare (List.filter (fun b -> b >= l.bytes) !free) in
-          (match fits with
-          | b :: _ ->
-              free := remove_first b !free;
-              live := (l, b) :: !live
-          | [] ->
-              current := !current + l.bytes;
-              live := (l, l.bytes) :: !live);
-          if !current > !peak then peak := !current
-        end)
-      lifetimes;
-    (* release buffers whose last reader was this group *)
-    let dead, alive = List.partition (fun ((l : lifetime), _) -> l.dies <= gi) !live in
-    List.iter (fun (_, b) -> free := b :: !free) dead;
-    live := alive
-  done;
-  { lifetimes; peak_naive_bytes = peak_naive; peak_reuse_bytes = !peak }
+let lifetimes p ir = List.map snd (liveouts p ir)
+
+let slots ~reuse p ir =
+  let live = liveouts p ir in
+  let slot = Array.make (Pipeline.n_stages p) (-1) in
+  (* per slot: its length, and the last group that reads its buffer *)
+  let capacity = Array.make (List.length live) 0 in
+  let busy_until = Array.make (List.length live) max_int in
+  let n = ref 0 in
+  List.iter
+    (fun (sid, l) ->
+      let points = l.bytes / 8 in
+      let best = ref (-1) in
+      if reuse && l.dies <> max_int then
+        for s = 0 to !n - 1 do
+          if
+            busy_until.(s) < l.born
+            && capacity.(s) >= points
+            && (!best < 0 || capacity.(s) < capacity.(!best))
+          then best := s
+        done;
+      if !best < 0 then begin
+        best := !n;
+        capacity.(!n) <- points;
+        incr n
+      end;
+      slot.(sid) <- !best;
+      busy_until.(!best) <- l.dies)
+    live;
+  { slot; capacity = Array.sub capacity 0 !n }
+
+let report p ir =
+  let bytes ~reuse = 8 * Array.fold_left ( + ) 0 (slots ~reuse p ir).capacity in
+  {
+    lifetimes = lifetimes p ir;
+    peak_naive_bytes = bytes ~reuse:false;
+    peak_reuse_bytes = bytes ~reuse:true;
+  }

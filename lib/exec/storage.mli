@@ -1,16 +1,20 @@
-(** Buffer storage optimization (the "storage optimizations performed
-    by PolyMageDP" of the paper's §6.2): full buffers of group
-    live-outs that are dead — already past their last consumer group —
-    are recycled for later live-outs instead of being allocated fresh.
+(** Buffer storage (the "storage optimizations performed by
+    PolyMageDP" of the paper's §6.2): the one owner of full-buffer
+    lifetimes and recycling.
 
-    The analysis is a straightforward lifetime computation over the
-    schedule's group order; the executor applies it with a
-    capacity-keyed free list ({!Tiled_exec.run} with
-    [~reuse_buffers:true]).  Pipeline outputs are never recycled. *)
+    Each group live-out of a plan lives in a buffer {e slot}.  With
+    recycling, a live-out takes the smallest slot whose buffer is dead
+    — already past its last consumer group — and fits it, or a fresh
+    slot when none does; pipeline outputs always take a fresh one.
+    Without recycling every live-out has its own slot.  {!slots} is
+    the assignment {!Tiled_exec.run} allocates from, so {!report}, which
+    sums the same slots, is what the executor holds.  Everything is
+    read from the plan IR: its members carry the live-out flags and
+    buffer extents. *)
 
 type lifetime = {
   stage : string;
-  bytes : int;
+  bytes : int;  (** the buffer's float elements × 8 *)
   born : int;  (** group index that produces the buffer *)
   dies : int;  (** last group index that reads it; [max_int] for pipeline outputs *)
 }
@@ -21,9 +25,18 @@ type report = {
   peak_reuse_bytes : int;  (** with dead-buffer recycling *)
 }
 
-val lifetimes : Pmdp_core.Schedule_spec.t -> lifetime list
-(** Lifetime of every live-out buffer of the schedule. *)
+type slots = {
+  slot : int array;  (** per stage id: a live-out's slot, [-1] for other stages *)
+  capacity : int array;  (** per slot: its length in floats *)
+}
 
-val report : Pmdp_core.Schedule_spec.t -> report
-(** Peak resident bytes with and without recycling (capacity-keyed
-    first-fit, the same policy the executor applies). *)
+val lifetimes : Pmdp_dsl.Pipeline.t -> Pmdp_plan.t -> lifetime list
+(** Lifetime of every live-out buffer of the plan, in group order. *)
+
+val slots : reuse:bool -> Pmdp_dsl.Pipeline.t -> Pmdp_plan.t -> slots
+(** The slot of every live-out, recycling dead slots when [reuse]. *)
+
+val report : Pmdp_dsl.Pipeline.t -> Pmdp_plan.t -> report
+(** Bytes of the slots {!slots} assigns without and with [reuse]: the
+    executor keeps each slot until the run returns, so these are its
+    peak resident full-buffer bytes. *)

@@ -333,18 +333,6 @@ let run_tile ?fault ?cancel gp (buffers : (string, Buffer.t) Hashtbl.t) external
     end
   done
 
-let prepare plan ~inputs =
-  let buffers : (string, Buffer.t) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun (name, b) -> Hashtbl.replace buffers name b) inputs;
-  Array.iter
-    (fun gp ->
-      Array.iter
-        (fun (mp : member_plan) ->
-          if mp.liveout then Hashtbl.replace buffers mp.stage.Stage.name (Buffer.of_stage mp.stage))
-        gp.members)
-    plan.groups;
-  buffers
-
 (* External views must be resolved per group, after earlier groups
    have allocated their live-out buffers. *)
 let externals_for gp buffers =
@@ -364,9 +352,6 @@ let externals_for gp buffers =
                           { name; context = "Tiled_exec: stage " ^ mp.stage.Stage.name })))
            mp.slots))
     gp.members
-
-let collect_results plan buffers =
-  List.map (fun name -> (name, Hashtbl.find buffers name)) plan.liveouts
 
 let arena_bytes gp =
   Array.fold_left
@@ -408,6 +393,7 @@ type group_stats = {
   scratch_bytes : int;
   copy_out_bytes : int;
   wall_seconds : float;
+  tile_seconds : float array;
 }
 
 let stage_names gp =
@@ -431,7 +417,13 @@ let run_group ?pool ?sched ?fault ?cancel ~index gp buffers =
     Atomic.incr arenas;
     make_arena gp
   in
-  let exec_tile arena t = run_tile ?fault ?cancel gp buffers externals arena t in
+  (* each tile writes only its own entry, whichever worker runs it *)
+  let tile_seconds = Array.make gp.n_tiles 0.0 in
+  let exec_tile arena t =
+    let t0 = Unix.gettimeofday () in
+    run_tile ?fault ?cancel gp buffers externals arena t;
+    tile_seconds.(t) <- Unix.gettimeofday () -. t0
+  in
   let exec_tile arena t =
     if not (Trace.on ()) then exec_tile arena t
     else
@@ -468,6 +460,7 @@ let run_group ?pool ?sched ?fault ?cancel ~index gp buffers =
       scratch_bytes = Atomic.get arenas * arena_bytes gp;
       copy_out_bytes = copy_out_bytes gp;
       wall_seconds = Unix.gettimeofday () -. t0;
+      tile_seconds;
     }
   in
   if Trace.on () && not (Float.is_nan ts_group) then begin
@@ -498,110 +491,34 @@ let run_group ?pool ?sched ?fault ?cancel ~index gp buffers =
   stats
 
 let run ?pool ?sched ?fault ?cancel ?(reuse_buffers = false) plan ~inputs =
-  Reference.check_inputs plan.pipeline inputs;
-  let run_group gi gp buffers = run_group ?pool ?sched ?fault ?cancel ~index:gi gp buffers in
-  if not reuse_buffers then begin
-    let buffers = prepare plan ~inputs in
-    let stats = Array.mapi (fun gi gp -> run_group gi gp buffers) plan.groups in
-    (collect_results plan buffers, Array.to_list stats)
-  end
-  else begin
-    (* Storage optimization: live-out buffers past their last consumer
-       group are recycled (capacity-keyed first fit).  Only pipeline
-       outputs survive to the result list. *)
-    let p = plan.pipeline in
-    let buffers : (string, Buffer.t) Hashtbl.t = Hashtbl.create 64 in
-    List.iter (fun (name, b) -> Hashtbl.replace buffers name b) inputs;
-    let group_of_stage = Array.make (Pipeline.n_stages p) 0 in
-    Array.iteri
+  let p = plan.pipeline in
+  Reference.check_inputs p inputs;
+  let buffers : (string, Buffer.t) Hashtbl.t = Hashtbl.create 64 in
+  List.iter (fun (name, b) -> Hashtbl.replace buffers name b) inputs;
+  (* Each live-out's full buffer is its Storage slot: its own, or with
+     [reuse_buffers] a dead live-out's (the paper's §6.2 storage
+     optimization).  A slot is allocated by the first group using it. *)
+  let { Storage.slot; capacity } = Storage.slots ~reuse:reuse_buffers p plan.ir in
+  let store = Array.map (fun n -> lazy (Array.make n 0.0)) capacity in
+  let stats =
+    Array.mapi
       (fun gi gp ->
-        Array.iter (fun (mp : member_plan) -> group_of_stage.(mp.sid) <- gi) gp.members)
-      plan.groups;
-    let dies sid =
-      if Pipeline.is_output p sid then max_int
-      else
-        List.fold_left
-          (fun acc c -> max acc group_of_stage.(c))
-          group_of_stage.(sid) (Pipeline.consumers p sid)
-    in
-    let free : Buffer.t list ref = ref [] in
-    let rec remove_first x = function
-      | [] -> []
-      | y :: rest -> if y == x then rest else y :: remove_first x rest
-    in
-    let alloc (stage : Stage.t) =
-      let needed = Stage.domain_points stage in
-      (* pipeline outputs keep exact-size fresh buffers (they are
-         returned to the caller and never recycled anyway) *)
-      if Pipeline.is_output p (Pipeline.stage_id p stage.Stage.name) then Buffer.of_stage stage
-      else begin
-        let fits =
-          List.filter (fun (b : Buffer.t) -> Array.length b.Buffer.data >= needed) !free
-        in
-        match
-          List.sort
-            (fun (a : Buffer.t) b -> compare (Array.length a.Buffer.data) (Array.length b.Buffer.data))
-            fits
-        with
-        | b :: _ ->
-            free := remove_first b !free;
-            Buffer.with_data stage.Stage.name stage.Stage.dims b.Buffer.data
-        | [] -> Buffer.of_stage stage
-      end
-    in
-    let stats =
-      Array.mapi
-        (fun gi gp ->
-          Array.iter
-            (fun (mp : member_plan) ->
-              if mp.liveout then Hashtbl.replace buffers mp.stage.Stage.name (alloc mp.stage))
-            gp.members;
-          let stats = run_group gi gp buffers in
-          (* release buffers whose last consumer group just ran *)
-          Array.iteri
-            (fun gj gp' ->
-              if gj <= gi then
-                Array.iter
-                  (fun (mp : member_plan) ->
-                    if mp.liveout && dies mp.sid = gi then
-                      match Hashtbl.find_opt buffers mp.stage.Stage.name with
-                      | Some b ->
-                          free := b :: !free;
-                          Hashtbl.remove buffers mp.stage.Stage.name
-                      | None -> ())
-                  gp'.members)
-            plan.groups;
-          stats)
-        plan.groups
-    in
-    ( List.filter_map
-        (fun sid ->
-          let name = (Pipeline.stage p sid).Stage.name in
-          Option.map (fun b -> (name, b)) (Hashtbl.find_opt buffers name))
-        p.Pipeline.outputs,
-      Array.to_list stats )
-  end
-
-type group_timing = { group_stages : string list; tile_durations : float array }
-
-let run_timed plan ~inputs =
-  Reference.check_inputs plan.pipeline inputs;
-  let buffers = prepare plan ~inputs in
-  let timings =
-    Array.map
-      (fun gp ->
-        let externals = externals_for gp buffers in
-        let arena = make_arena gp in
-        let durations = Array.make gp.n_tiles 0.0 in
-        for t = 0 to gp.n_tiles - 1 do
-          let t0 = Unix.gettimeofday () in
-          run_tile gp buffers externals arena t;
-          durations.(t) <- Unix.gettimeofday () -. t0
-        done;
-        { group_stages = stage_names gp; tile_durations = durations })
+        Array.iter
+          (fun (mp : member_plan) ->
+            if mp.liveout then
+              let { Stage.name; dims; _ } = mp.stage in
+              Hashtbl.replace buffers name
+                (Buffer.with_data name dims (Lazy.force store.(slot.(mp.sid)))))
+          gp.members;
+        run_group ?pool ?sched ?fault ?cancel ~index:gi gp buffers)
       plan.groups
   in
-  (collect_results plan buffers, Array.to_list timings)
+  (* recycled slots hold later buffers, so only outputs are returned *)
+  let names =
+    if reuse_buffers then List.map (fun sid -> (Pipeline.stage p sid).Stage.name) p.Pipeline.outputs
+    else plan.liveouts
+  in
+  (List.map (fun name -> (name, Hashtbl.find buffers name)) names, Array.to_list stats)
 
 let pp ppf plan =
   Format.fprintf ppf "@[<v>plan for %s: %d groups, %d tiles@," plan.pipeline.Pipeline.name

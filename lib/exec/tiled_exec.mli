@@ -5,9 +5,10 @@
     over its overlap-expanded region (paper Fig. 2/3).  Non-live-out
     members compute into per-tile scratch buffers (the producer-
     consumer locality the fusion model optimizes for); live-outs
-    write to full buffers.  Tiles of a group are independent — the
-    overlap recomputation breaks inter-tile dependences — so they can
-    run in parallel.
+    write to full buffers, whose slots {!Storage.slots} assigns.
+    Tiles of a group are independent — the overlap recomputation
+    breaks inter-tile dependences — so they can run in parallel.
+    Every run times each group and each of its tiles.
 
     Results are bitwise-equal to {!Reference.run} for the live-out
     stages. *)
@@ -79,6 +80,10 @@ type group_stats = {
           boxes partition it (checked by the race pass of
           [Pmdp_verify.Verify.check_legality]) *)
   wall_seconds : float;  (** wall-clock of the group's tile loop *)
+  tile_seconds : float array;
+      (** wall-clock of each tile, by tile index, on whichever worker
+          ran it: run serially, the sequential per-tile durations
+          {!Pmdp_runtime.Pool.simulate_makespan} replays *)
 }
 (** What one run of one group measured: the per-group execution
     profile [pmdp run --profile] prints and the bench JSON carries. *)
@@ -97,29 +102,18 @@ val run :
     group's tiles are distributed over the pool's persistent workers,
     claimed under [sched] (default chunked dynamic, see
     {!Pmdp_runtime.Pool.parallel_for}).  With tracing on, each group
-    records a [group] span whose arguments are its {!group_stats} and
-    adds them to the [tiles], [scratch_bytes] and [copy_out_bytes]
-    counters.  With [fault], the injection points fire:
-    {!Pmdp_runtime.Fault.tile_tick} at each tile,
+    records a [group] span whose arguments are its {!group_stats}
+    fields but the timings, and adds them to the [tiles],
+    [scratch_bytes] and [copy_out_bytes] counters.  With [fault], the
+    injection points fire: {!Pmdp_runtime.Fault.tile_tick} at each tile,
     {!Pmdp_runtime.Fault.alloc_tick} at each arena allocation.  With
     [cancel], every tile first checks the token and raises a typed
     [Cancelled] error once it is set (the cooperative-cancellation
-    path a watchdog uses).  With [reuse_buffers] (default false),
-    full buffers past their last consumer group are recycled — the
-    paper's §6.2 "storage optimizations" — and only the pipeline's
-    declared outputs are returned (see {!Storage} for the
-    analysis/report). *)
-
-type group_timing = {
-  group_stages : string list;
-  tile_durations : float array;  (** measured sequentially, seconds *)
-}
-
-val run_timed :
-  plan -> inputs:(string * Buffer.t) list -> (string * Buffer.t) list * group_timing list
-(** Execute sequentially, recording per-tile wall-clock durations per
-    group — the input to {!Pmdp_runtime.Pool.simulate_makespan} for
-    simulated multicore timings. *)
+    path a watchdog uses).  Each group's live-outs are allocated
+    from {!Storage.slots} before it runs; with [reuse_buffers]
+    (default false) those slots recycle dead buffers — the paper's
+    §6.2 "storage optimizations", whose bytes {!Storage.report}
+    sums — and only the pipeline's declared outputs are returned. *)
 
 val total_tiles : plan -> int
 val pp : Format.formatter -> plan -> unit

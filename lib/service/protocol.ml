@@ -194,6 +194,8 @@ let error_of_json j =
           retry_after = flt "retry_after" ~default:0.0;
           context;
         }
+  | "kernel-unavailable" ->
+      Pmdp_error.Kernel_unavailable { reason = str "reason" ~default:"(remote)"; context }
   | other ->
       Pmdp_error.Plan_invalid
         {

@@ -114,24 +114,27 @@ let tune_spec ~seed ~budget ~evaluate (spec : Schedule_spec.t) =
   let r = run ~seed ~budget ~init ~evaluate:eval in
   (spec_with_tiles spec r.tiles, r)
 
-(* Model-cost evaluator: sum of predicted per-group costs under
-   [config] — deterministic and execution-free, so it drives both the
-   service's background retuner and reproducible tests.  [None] when
-   any group fails to analyze. *)
-let model_evaluate config (spec : Schedule_spec.t) =
-  let p = spec.Schedule_spec.pipeline in
+(* Sum of predicted per-group costs under [config], over (stages,
+   tile) pairs in group order; [None] when any group fails to analyze. *)
+let predicted_cost config pipeline groups =
   List.fold_left
-    (fun acc (g : Schedule_spec.group) ->
+    (fun acc (stages, tile) ->
       match acc with
       | None -> None
       | Some total -> (
-          match
-            Cost_model.group_features config p ~stages:g.Schedule_spec.stages
-              ~tile:g.Schedule_spec.tile_sizes
-          with
+          match Cost_model.group_features config pipeline ~stages ~tile with
           | None -> None
           | Some f -> Some (total +. Cost_model.predict config f)))
-    (Some 0.0) spec.Schedule_spec.groups
+    (Some 0.0) groups
+
+(* Model-cost evaluator: deterministic and execution-free, so it
+   drives both the service's background retuner and reproducible
+   tests. *)
+let model_evaluate config (spec : Schedule_spec.t) =
+  predicted_cost config spec.Schedule_spec.pipeline
+    (List.map
+       (fun (g : Schedule_spec.group) -> (g.Schedule_spec.stages, g.Schedule_spec.tile_sizes))
+       spec.Schedule_spec.groups)
 
 (* IR adapter for the online retuner: score candidate tile matrices
    for an already-lowered plan without re-lowering (features come
@@ -145,17 +148,6 @@ let tune_ir ~seed ~budget ~config ~pipeline (ir : Pmdp_plan.t) =
   let init =
     Array.map (fun (g : Pmdp_plan.group) -> Array.copy g.Pmdp_plan.tile) ir.Pmdp_plan.groups
   in
-  let eval tiles =
-    List.fold_left
-      (fun acc (stages, tile) ->
-        match acc with
-        | None -> None
-        | Some total -> (
-            match Cost_model.group_features config pipeline ~stages ~tile with
-            | None -> None
-            | Some f -> Some (total +. Cost_model.predict config f)))
-      (Some 0.0)
-      (List.combine groups (Array.to_list tiles))
-  in
+  let eval tiles = predicted_cost config pipeline (List.combine groups (Array.to_list tiles)) in
   let r = run ~seed ~budget ~init ~evaluate:eval in
   (r.tiles, r)

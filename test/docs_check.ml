@@ -10,6 +10,8 @@
      subcommand or flag the CLI no longer accepts.  Ground truth is
      the built binary itself: every mentioned subcommand's
      `--help=plain` is run once and flags are matched against it.
+     The flag-reference pages are held to the same ground truth, and
+     a flag table's "Where" column to each subcommand it names.
 
    Usage: docs_check --pmdp path/to/pmdp.exe --root repo-root *)
 
@@ -308,6 +310,50 @@ let check_flag_inventory file content subs =
     done
   end
 
+(* The "Where" column of a flag table: a row that names subcommands in
+   backticks there ([`run`, `bench`]) claims that each of them accepts
+   every flag of its first column, so each claim is checked against
+   that subcommand's own --help, not against the file's union. *)
+
+let table_cells line =
+  let line = String.trim line in
+  if String.length line < 2 || line.[0] <> '|' then None
+  else
+    let cells = String.split_on_char '|' line in
+    (* drop what precedes the leading bar and follows the trailing one *)
+    Some (List.filteri (fun k _ -> k > 0 && k < List.length cells - 1) cells |> List.map String.trim)
+
+let backticked cell = String.split_on_char '`' cell |> List.filteri (fun k _ -> k mod 2 = 1)
+
+let check_where_column file content =
+  (* in a table: the index of its "Where" column, -1 when it has none *)
+  let where = ref None in
+  List.iteri
+    (fun i line ->
+      match (table_cells line, !where) with
+      | None, _ -> where := None
+      | Some header, None ->
+          where := Some (Option.value ~default:(-1) (List.find_index (( = ) "Where") header))
+      | Some (flag_cell :: _ as cells), Some w when w > 0 && w < List.length cells ->
+          let flags =
+            backticked flag_cell |> List.concat_map split_ws
+            |> List.filter_map (fun t -> flag_prefix (trim_token t))
+          in
+          List.iter
+            (fun sub ->
+              match help_of sub with
+              | None -> err "%s:%d: the Where column names unknown subcommand %S" file (i + 1) sub
+              | Some help ->
+                  List.iter
+                    (fun flag ->
+                      if not (mentions_flag help flag) then
+                        err "%s:%d: %s is listed for pmdp %s, which does not accept it" file
+                          (i + 1) flag sub)
+                    flags)
+            (List.filter is_subcommand_name (backticked (List.nth cells w)))
+      | Some _, Some _ -> ())
+    (String.split_on_char '\n' content)
+
 (* ------------------------------------------------------------------ *)
 (* `pmdp list` inventory: both sections populated, every listed
    scheduler accepted by `pmdp schedule`, every listed pipeline
@@ -374,7 +420,8 @@ let check_file file =
   match Filename.basename file with
   | "service.md" -> check_flag_inventory file content [ "serve"; "load" ]
   | "tuning.md" ->
-      check_flag_inventory file content [ "run"; "bench"; "serve"; "load"; "tune" ]
+      check_flag_inventory file content [ "run"; "bench"; "serve"; "load"; "tune" ];
+      check_where_column file content
   | "tuning-loop.md" -> check_flag_inventory file content [ "tune"; "serve"; "run" ]
   | _ -> ()
 

@@ -236,23 +236,6 @@ let test_parallel_equals_serial () =
             serial)
         Pmdp_runtime.Pool.[ Static; Dynamic; Chunked 0 ])
 
-let test_run_timed_consistent () =
-  let p = Pmdp_apps.Blur.build ~rows:64 ~cols:64 () in
-  let inputs = Pmdp_apps.Blur.inputs p in
-  let sched = fst (Schedule_spec.dp config p) in
-  let plan = Tiled_exec.plan sched in
-  let results, timings = Tiled_exec.run_timed plan ~inputs in
-  let reference = Reference.run p ~inputs in
-  Alcotest.(check (float 0.0)) "timed run exact" 0.0
-    (Buffer.max_abs_diff (List.assoc "blury" results) (List.assoc "blury" reference));
-  Alcotest.(check int) "one timing per group" (List.length timings)
-    (Schedule_spec.n_groups sched);
-  List.iter
-    (fun (g : Tiled_exec.group_timing) ->
-      Alcotest.(check bool) "durations nonnegative" true
-        (Array.for_all (fun d -> d >= 0.0) g.Tiled_exec.tile_durations))
-    timings
-
 (* -------------------- Group records -------------------- *)
 
 (* Interpolate's manual schedule at scale 16: fast, multi-tile groups,
@@ -293,6 +276,25 @@ let test_group_records () =
     (List.exists (fun (g : Tiled_exec.group_stats) -> g.Tiled_exec.copy_out_bytes > 0) serial);
   Pmdp_runtime.Pool.with_pool 2 (fun pool ->
       check_records ~workers:2 plan (snd (Tiled_exec.run ~pool plan ~inputs)))
+
+(* Every run times each tile: one non-negative duration per tile, and
+   run serially the durations fit inside the group's wall-clock. *)
+let test_tile_seconds () =
+  let _, inputs, plan = interpolate_manual () in
+  let check ~serial (stats : Tiled_exec.group_stats list) =
+    List.iter
+      (fun (g : Tiled_exec.group_stats) ->
+        let d = g.Tiled_exec.tile_seconds in
+        Alcotest.(check int) "one duration per tile" g.Tiled_exec.tiles (Array.length d);
+        Alcotest.(check bool) "durations non-negative" true (Array.for_all (fun x -> x >= 0.0) d);
+        if serial then
+          Alcotest.(check bool) "serial sum <= group wall" true
+            (Array.fold_left ( +. ) 0.0 d <= g.Tiled_exec.wall_seconds))
+      stats
+  in
+  check ~serial:true (snd (Tiled_exec.run plan ~inputs));
+  Pmdp_runtime.Pool.with_pool 2 (fun pool ->
+      check ~serial:false (snd (Tiled_exec.run ~pool plan ~inputs)))
 
 (* The trace's group spans and counters are emitted from the records. *)
 let test_group_records_traced () =
@@ -413,11 +415,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_random_tiles_exact;
           QCheck_alcotest.to_alcotest prop_random_grouping_exact;
           Alcotest.test_case "parallel equals serial" `Quick test_parallel_equals_serial;
-          Alcotest.test_case "run_timed" `Quick test_run_timed_consistent;
         ] );
       ( "group records",
         [
           Alcotest.test_case "serial and pooled" `Quick test_group_records;
+          Alcotest.test_case "tile seconds" `Quick test_tile_seconds;
           Alcotest.test_case "trace spans and counters" `Quick test_group_records_traced;
           Alcotest.test_case "degraded run counts each group once" `Quick test_degraded_records;
           Alcotest.test_case "none from the reference" `Quick test_reference_answers_no_records;

@@ -1045,6 +1045,7 @@ let test_protocol_error_codec () =
       Pmdp_error.Deadline_exceeded { deadline = 0.5; waited = 0.75; context = "c" };
       Pmdp_error.Circuit_open
         { fingerprint = "0123abcd"; failures = 3; retry_after = 1.5; context = "c" };
+      Pmdp_error.Kernel_unavailable { reason = "r"; context = "c" };
     ]
   in
   List.iter
@@ -1310,6 +1311,44 @@ let test_bench_case_keys () =
       Alcotest.(check (list string)) "resilience step members" [ "error"; "step" ]
         (keys (Option.bind profile (first "resilience")))
 
+(* Under tracing, each case's counters cover its own reps only.  The
+   sequential timed runs behind the group costs are traced as well, but
+   outside every case's counter window. *)
+let test_bench_traced_counters () =
+  let module Trace = Pmdp_trace.Trace in
+  let p = blur.Registry.build ~scale:32 in
+  let inputs = blur.Registry.inputs ~seed:1 p in
+  let reference = Pmdp_exec.Reference.run p ~inputs in
+  let spec =
+    Pmdp_baselines.Schedulers.schedule Scheduler.Dp (Pmdp_core.Cost_model.default_config xeon) p
+  in
+  let reps = 2 in
+  Trace.set_enabled true;
+  Trace.reset ();
+  let outcomes, totals =
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.set_enabled false;
+        Trace.reset ())
+      (fun () ->
+        let outcomes =
+          Pmdp_bench.Runner.run_spec ~reps ~machine:xeon ~workers:[ 1; 2 ]
+            ~scheduler:Scheduler.Dp ~inputs ~reference spec
+        in
+        (outcomes, Trace.counter_totals ()))
+  in
+  let n_tiles = (List.hd outcomes).Pmdp_bench.Runner.n_tiles in
+  List.iter
+    (fun (o : Pmdp_bench.Runner.outcome) ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "%d workers: tiles of its own reps" o.workers)
+        (Some (reps * n_tiles))
+        (List.assoc_opt "tiles" o.counters))
+    outcomes;
+  Alcotest.(check (option int)) "trace total adds the timed reps"
+    (Some ((2 + 1) * reps * n_tiles))
+    (List.assoc_opt "tiles" totals)
+
 let test_bench_merge_schema () =
   let dir = Filename.temp_file "pmdp-bench" "" in
   Sys.remove dir;
@@ -1441,5 +1480,9 @@ let () =
         ] );
       ( "bench-merge",
         [ Alcotest.test_case "schema validation" `Quick test_bench_merge_schema ] );
-      ( "bench-json", [ Alcotest.test_case "case and profile keys" `Quick test_bench_case_keys ] );
+      ( "bench-json",
+        [
+          Alcotest.test_case "case and profile keys" `Quick test_bench_case_keys;
+          Alcotest.test_case "traced case counters" `Quick test_bench_traced_counters;
+        ] );
     ]
